@@ -114,6 +114,69 @@ let check (g : Graph.t) : (unit, Sod2_error.t list) result =
         (Op_class.value_inputs nd.Graph.op))
     (Graph.nodes g);
 
+  (* --- axis and permutation attributes ------------------------------ *)
+  (* A Transpose perm must be a permutation whatever the input; axes are
+     checked against the input rank wherever one forward sweep of the
+     shape functions knows it.  The sweep needs sound ids and order, so it
+     runs only on an otherwise clean graph. *)
+  let attr_err (nd : Graph.node) fmt =
+    Printf.ksprintf
+      (fun msg ->
+        add
+          (Sod2_error.make ~op:(Op.name nd.Graph.op) ~node:nd.Graph.nname
+             Sod2_error.Invalid_graph msg))
+      fmt
+  in
+  let check_axis nd r what a =
+    if a < -r || a >= r then attr_err nd "%s %d out of range for an input of rank %d" what a r
+  in
+  let check_attrs (nd : Graph.node) rank =
+    match nd.Graph.op, rank with
+    | Op.Transpose perm, _
+      when List.sort compare perm <> List.init (List.length perm) Fun.id ->
+      attr_err nd "perm [%s] is not a permutation"
+        (String.concat "; " (List.map string_of_int perm))
+    | Op.Transpose perm, Some r when List.length perm <> r ->
+      attr_err nd "perm of length %d on an input of rank %d" (List.length perm) r
+    | (Op.Softmax { axis } | Op.LogSoftmax { axis }), Some r -> check_axis nd r "axis" axis
+    | (Op.ArgMax { axis; _ } | Op.ArgMin { axis; _ }), Some r -> check_axis nd r "axis" axis
+    | Op.Reduce { axes; _ }, Some r -> List.iter (check_axis nd r "reduce axis") axes
+    | _ -> ()
+  in
+  if !errs = [] then begin
+    let shapes = Array.make n_tensors Shape.Undef in
+    let values = Array.make n_tensors Value_info.undef in
+    for tid = 0 to n_tensors - 1 do
+      match (Graph.tensor g tid).Graph.kind with
+      | Graph.Input s -> shapes.(tid) <- s
+      | Graph.Const t ->
+        shapes.(tid) <- Shape.of_ints (Tensor.dims t);
+        if Tensor.dtype t = Tensor.I64 && Tensor.numel t <= Value_info.max_tracked_elements
+        then values.(tid) <- Value_info.of_ints (Tensor.to_int_list t)
+      | Graph.Activation -> ()
+    done;
+    Array.iter
+      (fun (nd : Graph.node) ->
+        let ins = Array.of_list nd.Graph.inputs in
+        check_attrs nd
+          (if Array.length ins = 0 then None else Shape.rank shapes.(ins.(0)));
+        match
+          Shape_fn.forward nd.Graph.op
+            {
+              Shape_fn.in_shapes = Array.map (fun t -> shapes.(t)) ins;
+              in_values = Array.map (fun t -> values.(t)) ins;
+            }
+        with
+        | outs, vals ->
+          List.iteri
+            (fun i tid ->
+              shapes.(tid) <- outs.(i);
+              values.(tid) <- vals.(i))
+            nd.Graph.outputs
+        | exception _ -> ())
+      (Graph.nodes g)
+  end;
+
   (* --- <Switch, Combine> pairing ----------------------------------- *)
   let outs = Graph.outputs g in
   let switches =

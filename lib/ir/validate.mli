@@ -12,6 +12,10 @@
       input whose {e value} determines the output shape
     ({!Op_class.value_inputs}) must be an integer tensor;
     - cycles and topological-order violations;
+    - axis attributes: a [Transpose] perm must be a permutation of the
+      input's axes, and [Softmax]/[LogSoftmax]/[Reduce]/[ArgMax]/[ArgMin]
+      axes must lie in [\[-r, r)] — checked wherever one forward sweep of
+      {!Shape_fn.forward} knows the input rank [r];
     - [<Switch, Combine>] control-flow pairing: every [Switch] branch must
       be consumed (or be a graph output) and every [Combine] must merge a
       [Switch] with the same branch count driven by the same predicate.

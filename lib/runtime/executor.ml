@@ -131,6 +131,7 @@ type arena_rt = {
   ar_loc : bool array;  (* tid's live value is in the arena *)
   mutable ar_resident : int;  (* tensors dest-stored this inference *)
   ar_bytes : int;
+  ar_env : Env.t;  (* the binding the plan was instantiated at *)
 }
 
 type state = {
@@ -437,58 +438,65 @@ let run_engine ~mode ~control ~gate ?(verify = fun _ _ -> ()) ?backend ?arena
      which beats both a slot store followed by a boundary copy and a fully
      boxed run that copies every arena-resident input out first. *)
   let is_graph_out tid = List.mem tid ctx.out_tids in
-  (* Destination-passing attempt: single-output node whose result has a
-     planned slot, all inputs viewable as F32 windows, and the op has a
-     [Kernels.run_into] kernel producing exactly the slot's capacity.
-     Writes straight into the arena — no output allocation, no blit. *)
+  (* Destination-passing attempt: single-output node, all inputs viewable
+     as float windows, and the op has a [Kernels.run_into] kernel producing
+     exactly the destination's capacity.  The destination is the output's
+     planned slot — no output allocation, no blit.  Graph outputs, and
+     unplanned tensors (internal to a group that runs op by op) whose
+     operands sit in the arena, get a fresh boxed buffer instead, sized by
+     the slot or by the RDP prediction at the plan's binding: the kernel
+     still reads its inputs as zero-copy slot views, which beats copying
+     every arena-resident input out for the boxed kernel. *)
   let try_dest (nd : Graph.node) =
     match arena, nd.Graph.outputs with
     | Some ar, [ otid ] -> (
-      match ar.ar_slot.(otid) with
-      | Some (off, cap) -> (
-        let rec views acc = function
-          | [] -> Some (List.rev acc)
-          | tid :: rest -> (
-            match view_of tid with
-            | Some v -> views (v :: acc) rest
-            | None -> None)
-        in
+      (* [(Some offset, cap)] for a slot store, [(None, cap)] for a fresh
+         buffer. *)
+      let dest =
+        match ar.ar_slot.(otid) with
+        | Some (off, cap) when not (is_graph_out otid) -> Some (Some off, cap)
+        | Some (_, cap) -> Some (None, cap)
+        | None when List.exists (fun tid -> ar.ar_loc.(tid)) nd.Graph.inputs ->
+          Option.map
+            (fun dims -> None, List.fold_left ( * ) 1 dims)
+            (Shape.eval ar.ar_env (Rdp.shape c.rdp otid))
+        | None -> None
+      in
+      let rec views acc = function
+        | [] -> Some (List.rev acc)
+        | tid :: rest -> (
+          match view_of tid with
+          | Some v -> views (v :: acc) rest
+          | None -> None)
+      in
+      match dest with
+      | None -> false
+      | Some (slot, cap) -> (
         match views [] nd.Graph.inputs with
-        | Some vs ->
-          if is_graph_out otid then (
-            let buf = Tensor.fbuf_create (Tensor.fbuf_dtype ar.ar_buf) cap in
-            Tensor.fbuf_fill buf 0 cap 0.0;
-            match
-              Kernels.run_into ?backend ?cls:(cls_of nd) nd.Graph.op vs ~c:buf
-                ~co:0 ~cap
-            with
-            | Some dims ->
-              let numel = List.fold_left ( * ) 1 dims in
-              let t =
-                if numel = cap then Tensor.of_fbuf dims buf
-                else Tensor.copy_view (Tensor.sub_view ~buf ~off:0 ~dims)
-              in
-              st.tensors.(otid) <- Some t;
-              st.dims.(otid) <- Some dims;
-              st.avail.(otid) <- true;
-              counter "arena-out-direct";
-              true
-            | None -> false)
-          else (
-            match
-              Kernels.run_into ?backend ?cls:(cls_of nd) nd.Graph.op vs
-                ~c:ar.ar_buf ~co:off ~cap
-            with
-            | Some dims ->
+        | None -> false
+        | Some vs -> (
+          let buf, co =
+            match slot with
+            | Some off -> ar.ar_buf, off
+            | None ->
+              let buf = Tensor.fbuf_create (Tensor.fbuf_dtype ar.ar_buf) cap in
+              Tensor.fbuf_fill buf 0 cap 0.0;
+              buf, 0
+          in
+          match Kernels.run_into ?backend ?cls:(cls_of nd) nd.Graph.op vs ~c:buf ~co ~cap with
+          | None -> false
+          | Some dims ->
+            (match slot with
+            | Some _ ->
               ar.ar_loc.(otid) <- true;
               ar.ar_resident <- ar.ar_resident + 1;
-              st.dims.(otid) <- Some dims;
-              st.avail.(otid) <- true;
-              counter "arena-dest-store";
-              true
-            | None -> false)
-        | None -> false)
-      | None -> false)
+              counter "arena-dest-store"
+            | None ->
+              st.tensors.(otid) <- Some (Tensor.of_fbuf dims buf);
+              counter "arena-out-direct");
+            st.dims.(otid) <- Some dims;
+            st.avail.(otid) <- true;
+            true)))
     | _ -> false
   in
   (* Int8 weight-quantized dispatch (dynamic-range): a node whose constant
@@ -591,8 +599,18 @@ let run_engine ~mode ~control ~gate ?(verify = fun _ _ -> ()) ?backend ?arena
         nd.outputs
     | Real ->
       if (not (try_quant nd)) && not (try_dest nd) then begin
-        let inputs = List.map fetch_boxed nd.inputs in
-        let outs = Kernels.run ?backend ?cls:(cls_of nd) nd.op inputs in
+        (* A planned slot left unused: the op has no destination kernel for
+           these operands.  Counted per op so the arena path is checkable. *)
+        (match arena, nd.outputs with
+        | Some ar, [ otid ] when Option.is_some ar.ar_slot.(otid) ->
+          counter ("arena-boxed:" ^ Op.name nd.op)
+        | _ -> ());
+        let outs =
+          match nd.op, nd.inputs with
+          (* Only the input's dims are read: no copy-out of an arena value. *)
+          | Op.ShapeOf, [ x ] -> [ Tensor.of_int_list (Option.get st.dims.(x)) ]
+          | _ -> Kernels.run ?backend ?cls:(cls_of nd) nd.op (List.map fetch_boxed nd.inputs)
+        in
         List.iteri
           (fun i tid ->
             let t = List.nth outs i in
@@ -901,6 +919,7 @@ let run_real_opts ?(control = Selected_only) ?check_env ?backend ?(memory = Mall
           ar_loc = Array.make n false;
           ar_resident = 0;
           ar_bytes = plan.Mem_plan.arena_bytes;
+          ar_env = env;
         }
   in
   let verify =

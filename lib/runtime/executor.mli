@@ -77,12 +77,15 @@ type memory =
           Graph outputs run their destination kernels into fresh boxed
           buffers instead (slot inputs still read as zero-copy views;
           counted as ["arena-out-direct"]), so they survive slot recycling
-          without a boundary copy.
+          without a boundary copy; so do unplanned tensors (internal to a
+          fusion group that runs op by op) with an arena-resident operand,
+          sized by the RDP prediction at [env].
           Composes with any [backend].  Ops without a destination kernel
           (or with non-F32/dynamic operands) transparently fall back to
-          boxed execution for that node; arena-resident values they consume
-          are copied out once and memoized (counted as ["arena-copy-out"]
-          in {!Profile.Counters}). *)
+          boxed execution for that node (a node whose output had a planned
+          slot counts ["arena-boxed:<op name>"]); arena-resident values
+          they consume are copied out once and memoized (counted as
+          ["arena-copy-out"] in {!Profile.Counters}). *)
 
 (** {1 Execution configuration}
 

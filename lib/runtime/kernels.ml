@@ -253,7 +253,7 @@ let view_dims_arr (v : Tensor.view) = Array.of_list v.Tensor.vdims
 let into_grain = 16_384
 
 (* Broadcast-aware binary loop over views, writing into [dst] at [doff].
-   Same index arithmetic as [Tensor.map2], plus source/destination base
+   Same odometer as [Tensor.map2], plus source/destination base
    offsets.  The same-shape uniform-kind path dispatches once on the
    operator and buffer kinds and runs a direct-operator monomorphic loop
    for the four arithmetic ops: a kind-polymorphic bigarray access is a C
@@ -350,39 +350,31 @@ let binary_into ~chunked (b : Op.binary) (x : Tensor.view) (y : Tensor.view)
   else begin
     let f = float_binary_fn b in
     let bx = x.Tensor.vbuf and by = y.Tensor.vbuf in
-    (* Right-aligned stride tables (stride 0 on broadcast axes). *)
-    let r = Array.length od in
-    let stride_of src =
-      let rs = Array.length src in
-      let s = Array.make r 0 in
-      let acc = ref 1 in
-      for i = rs - 1 downto 0 do
-        s.(i + (r - rs)) <- (if src.(i) = 1 then 0 else !acc);
-        acc := !acc * src.(i)
-      done;
-      s
-    in
-    let sx = stride_of dx and sy = stride_of dy in
-    let offset s i =
-      let off = ref 0 and rem = ref i in
-      for d = r - 1 downto 0 do
-        let q = !rem mod od.(d) in
-        rem := !rem / od.(d);
-        off := !off + (q * s.(d))
-      done;
-      !off
-    in
-    for i = 0 to n - 1 do
-      Tensor.fbuf_set dst (doff + i)
-        (f (Tensor.fbuf_get bx (ox + offset sx i))
-           (Tensor.fbuf_get by (oy + offset sy i)))
-    done
+    (* Right-aligned stride tables (stride 0 on broadcast axes) walked by
+       the shared odometer. *)
+    let sx = Tensor.broadcast_strides dx od and sy = Tensor.broadcast_strides dy od in
+    match bx, by, dst with
+    | Tensor.FB32 bx, Tensor.FB32 by, Tensor.FB32 d ->
+      Tensor.iter_strided od sx sy (fun i ix iy ->
+          BA1.unsafe_set d (doff + i)
+            (f (BA1.unsafe_get bx (ox + ix)) (BA1.unsafe_get by (oy + iy))))
+    | Tensor.FB64 bx, Tensor.FB64 by, Tensor.FB64 d ->
+      Tensor.iter_strided od sx sy (fun i ix iy ->
+          BA1.unsafe_set d (doff + i)
+            (f (BA1.unsafe_get bx (ox + ix)) (BA1.unsafe_get by (oy + iy))))
+    | bx, by, d ->
+      Tensor.iter_strided od sx sy (fun i ix iy ->
+          Tensor.fbuf_set d (doff + i)
+            (f (Tensor.fbuf_get bx (ox + ix)) (Tensor.fbuf_get by (oy + iy))))
   end;
   Array.to_list od
 
 let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
     ~(c : Tensor.fbuf) ~(co : int) ~(cap : int) : int list option =
   let fits dims = List.fold_left ( * ) 1 dims = cap in
+  let same_kind vs =
+    List.for_all (fun v -> Tensor.view_dtype v = Tensor.fbuf_dtype c) vs
+  in
   let par =
     match backend with Some be -> Backend.par_of be | None -> Blocked.sequential
   in
@@ -479,6 +471,29 @@ let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
             +. bv chn)
         done);
       Some x.Tensor.vdims
+    | _ -> None)
+  (* The strided non-GEMM kernels: the boxed [run] allocates and calls the
+     same loops.  They keep the input's rounding points, so the slot must
+     hold the kind the boxed result would have. *)
+  | Op.Softmax { axis }, [ x ] when fits x.Tensor.vdims && same_kind [ x ] ->
+    Reduction.softmax_into ~log_space:false x ~axis ~c ~co;
+    Some x.Tensor.vdims
+  | Op.LogSoftmax { axis }, [ x ] when fits x.Tensor.vdims && same_kind [ x ] ->
+    Reduction.softmax_into ~log_space:true x ~axis ~c ~co;
+    Some x.Tensor.vdims
+  | Op.LayerNorm { eps }, [ x; gamma; beta ]
+    when fits x.Tensor.vdims
+         && Reduction.layer_norm_dtype (Tensor.view_dtype x)
+              ~gamma:(Tensor.view_dtype gamma) ~beta:(Tensor.view_dtype beta)
+            = Tensor.fbuf_dtype c ->
+    Reduction.layer_norm_into x ~gamma ~beta ~eps ~c ~co;
+    Some x.Tensor.vdims
+  | Op.Transpose perm, [ x ] when fits x.Tensor.vdims && same_kind [ x ] ->
+    Some (Transform.transpose_into x perm ~c ~co)
+  | Op.Reduce { rkind; axes; keepdims }, [ x ] when same_kind [ x ] -> (
+    match Reduction.reduce_out_dims (view_dims_arr x) ~axes ~keepdims with
+    | od when fits od ->
+      Some (Reduction.reduce_into (reduce_kind rkind) x ~axes ~keepdims ~c ~co)
     | _ -> None)
   | Op.MatMul, [ a; b ] -> (
     match Linalg.matmul_out_dims a.Tensor.vdims b.Tensor.vdims with

@@ -12,6 +12,10 @@ val run :
     class [Arity_mismatch] on arity violations, class [Unsupported] for the
     two operators that cannot be interpreted without sub-graph support
     ([If], [Loop]) and for control flow, which the executor routes.  The
+    strided kernels (Softmax, LogSoftmax, LayerNorm, Reduce, ArgMax/ArgMin,
+    Transpose) raise [Shape_mismatch] on an out-of-range axis, a
+    non-permutation or a gamma/beta of the wrong length, and
+    [Unsupported] on an integer input where they need floats; a few other
     tensor primitives may still raise [Invalid_argument] on shape
     violations inside an operator.
 
@@ -32,6 +36,10 @@ val run_into :
     written and the caller must run the boxed {!run} path instead.
 
     Covered operators: Unary, Binary (broadcasting), Clip, BatchNorm,
-    MatMul and Conv — the ops that dominate steady-state inference
-    traffic.  Everything else (views, reductions, Gemm's transpose
-    scratch, I64 semantics) stays on the boxed path by design. *)
+    MatMul, Conv, Softmax, LogSoftmax, LayerNorm, Transpose and Reduce —
+    the ops that dominate steady-state inference traffic.  The strided
+    kernels (the last five) run the very loops {!run} runs, so both entries
+    give the same bits; they take the destination only when it has the
+    kind the boxed result would have.  Everything else (views, Gemm's
+    transpose scratch, ArgMax's I64 result, I64 semantics) stays on the
+    boxed path by design. *)

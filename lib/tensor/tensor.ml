@@ -353,19 +353,55 @@ let broadcast_dims a b =
         invalid_arg
           (Printf.sprintf "Tensor.broadcast_dims: %d vs %d at axis %d" x y i))
 
-(* Flat offset of [ix] (an index into the broadcast shape [out]) within a
-   tensor of shape [src], applying stride-0 semantics on size-1 axes. *)
-let broadcast_offset src out ix =
+(* Right-aligned stride table of a row-major [src] read at the broadcast
+   shape [out]: stride 0 on axes [src] lacks or holds at size 1. *)
+let broadcast_strides src out =
   let rs = Array.length src and ro = Array.length out in
-  let off = ref 0 in
-  let stride = ref 1 in
+  let s = Array.make ro 0 in
+  let acc = ref 1 in
   for i = rs - 1 downto 0 do
-    let oi = i + (ro - rs) in
-    let v = if src.(i) = 1 then 0 else ix.(oi) in
-    off := !off + (v * !stride);
-    stride := !stride * src.(i)
+    if src.(i) <> 1 then s.(i + (ro - rs)) <- !acc;
+    acc := !acc * src.(i)
   done;
-  !off
+  s
+
+(* The shared odometer: visit [dims] in ascending flat order, carrying the
+   two strided offsets incrementally — no per-element division, no
+   per-element index array.  The innermost axis is a plain counted loop. *)
+let iter_strided dims sa sb f =
+  let r = Array.length dims in
+  if r = 0 then f 0 0 0
+  else if Array.for_all (fun d -> d > 0) dims then begin
+    let last = r - 1 in
+    let len = dims.(last) and ia = sa.(last) and ib = sb.(last) in
+    let ix = Array.make r 0 in
+    let flat = ref 0 and oa = ref 0 and ob = ref 0 in
+    let running = ref true in
+    while !running do
+      let fl = !flat and a = !oa and b = !ob in
+      for j = 0 to len - 1 do
+        f (fl + j) (a + (j * ia)) (b + (j * ib))
+      done;
+      flat := fl + len;
+      (* carry into the outer axes *)
+      let k = ref (last - 1) in
+      let carry = ref true in
+      while !carry && !k >= 0 do
+        let ax = !k in
+        ix.(ax) <- ix.(ax) + 1;
+        oa := !oa + sa.(ax);
+        ob := !ob + sb.(ax);
+        if ix.(ax) < dims.(ax) then carry := false
+        else begin
+          oa := !oa - (sa.(ax) * dims.(ax));
+          ob := !ob - (sb.(ax) * dims.(ax));
+          ix.(ax) <- 0;
+          decr k
+        end
+      done;
+      if !carry then running := false
+    done
+  end
 
 let broadcast_to t dims =
   let out = Array.of_list dims in
@@ -373,18 +409,15 @@ let broadcast_to t dims =
   if Array.length _check <> Array.length out || _check <> out then
     invalid_arg "Tensor.broadcast_to: shape is not a broadcast target";
   let n = product out in
+  let st = broadcast_strides t.shape out in
   match t.data with
   | Fd src ->
     let buf = fbuf_create (fbuf_dtype src) n in
-    for flat = 0 to n - 1 do
-      fbuf_set buf flat (fbuf_get src (broadcast_offset t.shape out (unravel out flat)))
-    done;
+    iter_strided out st st (fun flat o _ -> fbuf_set buf flat (fbuf_get src o));
     { shape = out; data = Fd buf }
   | Id src ->
     let buf = ibuf_create (ibuf_dtype src) n in
-    for flat = 0 to n - 1 do
-      ibuf_set buf flat (ibuf_get src (broadcast_offset t.shape out (unravel out flat)))
-    done;
+    iter_strided out st st (fun flat o _ -> ibuf_set buf flat (ibuf_get src o));
     { shape = out; data = Id buf }
 
 (* Monomorphic map loops: the kind is statically known inside each arm, so
@@ -458,13 +491,8 @@ let map2 f a b =
   end
   else begin
     let dst = fbuf_create (promote_f (fbuf_dtype da) (fbuf_dtype db)) n in
-    for flat = 0 to n - 1 do
-      let ix = unravel out flat in
-      fbuf_set dst flat
-        (f
-           (fbuf_get da (broadcast_offset a.shape out ix))
-           (fbuf_get db (broadcast_offset b.shape out ix)))
-    done;
+    iter_strided out (broadcast_strides a.shape out) (broadcast_strides b.shape out)
+      (fun flat oa ob -> fbuf_set dst flat (f (fbuf_get da oa) (fbuf_get db ob)));
     { shape = out; data = Fd dst }
   end
 
@@ -478,13 +506,8 @@ let map2i f a b =
       ibuf_set dst i (f (ibuf_get da i) (ibuf_get db i))
     done
   else
-    for flat = 0 to n - 1 do
-      let ix = unravel out flat in
-      ibuf_set dst flat
-        (f
-           (ibuf_get da (broadcast_offset a.shape out ix))
-           (ibuf_get db (broadcast_offset b.shape out ix)))
-    done;
+    iter_strided out (broadcast_strides a.shape out) (broadcast_strides b.shape out)
+      (fun flat oa ob -> ibuf_set dst flat (f (ibuf_get da oa) (ibuf_get db ob)));
   { shape = out; data = Id dst }
 
 let cast t target =

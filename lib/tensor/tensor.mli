@@ -188,6 +188,22 @@ val ravel : int array -> int array -> int
 
 val unravel : int array -> int -> int array
 
+val broadcast_strides : int array -> int array -> int array
+(** [broadcast_strides src out] is the stride table for reading a row-major
+    tensor of shape [src] at the broadcast shape [out]: one entry per axis
+    of [out], right-aligned, 0 on axes [src] lacks or holds at size 1.
+    [broadcast_strides d d] is [d]'s own row-major table (0 on size-1
+    axes, where the index is always 0). *)
+
+val iter_strided :
+  int array -> int array -> int array -> (int -> int -> int -> unit) -> unit
+(** [iter_strided dims sa sb f] calls [f flat oa ob] once per multi-index
+    of [dims], in ascending row-major [flat] order, where [oa] and [ob] are
+    the index's offsets under the stride tables [sa] and [sb] (one entry
+    per axis of [dims]).  An odometer: offsets advance incrementally, with
+    no per-element division or allocation.  A rank-0 [dims] visits its one
+    element; a zero-size [dims] visits nothing. *)
+
 val get_f : t -> int array -> float
 val set_f : t -> int array -> float -> unit
 val get_i : t -> int array -> int

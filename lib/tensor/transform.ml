@@ -1,7 +1,9 @@
 (* Shape/movement ops for the reference path.  Element access goes through
-   the generic getters — these ops are O(n) shuffles, not hot kernels — but
-   outputs preserve the input's dtype: a float input of either precision
-   maps to the same precision, integers stay integers. *)
+   the generic getters — these ops are O(n) shuffles, not hot kernels;
+   Transpose, which attention runs per layer, is the exception, a strided
+   destination kernel — but outputs preserve the input's dtype: a float
+   input of either precision maps to the same precision, integers stay
+   integers. *)
 
 (* [init_fd dt dims f] is [Tensor.init_f] with an explicit float dtype. *)
 let init_fd dt dims f =
@@ -11,30 +13,52 @@ let init_fd dt dims f =
 
 let init_like t dims f = init_fd (Tensor.dtype t) dims f
 
-let transpose t perm =
-  let d = Tensor.dims_arr t in
+(* Output dims of [perm] applied to [d], and the source stride of each
+   output axis. *)
+let transpose_plan d perm =
   let r = Array.length d in
   if List.length perm <> r || List.sort compare perm <> List.init r Fun.id then
-    invalid_arg "Transform.transpose: perm must be a permutation of axes";
+    Sod2_error.failf ~op:"Transpose" Sod2_error.Shape_mismatch
+      "Transpose: perm [%s] is not a permutation of the %d axes of a rank-%d input"
+      (String.concat "; " (List.map string_of_int perm)) r r;
   let perm = Array.of_list perm in
-  let out_dims = Array.to_list (Array.map (fun p -> d.(p)) perm) in
-  let remap ix =
-    (* ix indexes the output; map back to source coordinates. *)
-    let src_ix = Array.make r 0 in
-    Array.iteri (fun i p -> src_ix.(p) <- ix.(i)) perm;
-    src_ix
-  in
-  if Tensor.is_float_dtype (Tensor.dtype t) then
-    init_like t out_dims (fun ix -> Tensor.get_f t (remap ix))
+  let src_strides = Tensor.broadcast_strides d d in
+  Array.map (fun p -> d.(p)) perm, Array.map (fun p -> src_strides.(p)) perm
+
+(* A stride-table odometer copy: the destination is walked contiguously,
+   the source through the permuted strides. *)
+let transpose_into (x : Tensor.view) perm ~c ~co =
+  let od, sp = transpose_plan (Array.of_list x.Tensor.vdims) perm in
+  let n = Array.fold_left ( * ) 1 od in
+  let xo = x.Tensor.voff in
+  if xo < 0 || xo + n > Tensor.fbuf_len x.Tensor.vbuf || co < 0 || co + n > Tensor.fbuf_len c
+  then
+    Sod2_error.failf ~op:"Transpose" Sod2_error.Plan_violation
+      "Transpose: window of %d elements outside its buffer" n;
+  (match x.Tensor.vbuf, c with
+  | Tensor.FB32 s, Tensor.FB32 t ->
+    Tensor.iter_strided od sp sp (fun flat so _ ->
+        Bigarray.Array1.unsafe_set t (co + flat) (Bigarray.Array1.unsafe_get s (xo + so)))
+  | Tensor.FB64 s, Tensor.FB64 t ->
+    Tensor.iter_strided od sp sp (fun flat so _ ->
+        Bigarray.Array1.unsafe_set t (co + flat) (Bigarray.Array1.unsafe_get s (xo + so)))
+  | s, t ->
+    Tensor.iter_strided od sp sp (fun flat so _ ->
+        Tensor.fbuf_set t (co + flat) (Tensor.fbuf_get s (xo + so))));
+  Array.to_list od
+
+let transpose t perm =
+  if Tensor.is_float_dtype (Tensor.dtype t) then begin
+    let od, _ = transpose_plan (Tensor.dims_arr t) perm in
+    let c = Tensor.fbuf_create (Tensor.dtype t) (Array.fold_left ( * ) 1 od) in
+    Tensor.of_fbuf (transpose_into (Tensor.view_f t) perm ~c ~co:0) c
+  end
   else begin
-    let out = Tensor.zeros (Tensor.dtype t) out_dims in
-    let n = Tensor.numel out in
-    let od = Array.of_list out_dims in
-    for flat = 0 to n - 1 do
-      let ix = Tensor.unravel od flat in
-      Tensor.set_i out ix (Tensor.get_i t (remap ix))
-    done;
-    out
+    let od, sp = transpose_plan (Tensor.dims_arr t) perm in
+    let src = Tensor.data_i t in
+    let dst = Array.make (Array.fold_left ( * ) 1 od) 0 in
+    Tensor.iter_strided od sp sp (fun flat so _ -> dst.(flat) <- src.(so));
+    Tensor.of_ints (Tensor.dtype t) (Array.to_list od) dst
   end
 
 let normalize_slice_bound dim v ~is_end ~step =

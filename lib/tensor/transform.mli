@@ -4,7 +4,15 @@
 
 val transpose : Tensor.t -> int list -> Tensor.t
 (** [transpose t perm] permutes axes; [perm] must be a permutation of
-    [0 .. rank-1]. *)
+    [0 .. rank-1], else a [Shape_mismatch] {!Sod2_error.Error}.  Any
+    dtype. *)
+
+val transpose_into :
+  Tensor.view -> int list -> c:Tensor.fbuf -> co:int -> int list
+(** Destination-passing {!transpose}: writes the permuted window into [c]
+    from element [co] and returns the output dims.  Same errors as
+    {!transpose}, plus [Plan_violation] when a window falls outside its
+    buffer. *)
 
 val slice :
   Tensor.t -> starts:int list -> ends:int list -> axes:int list ->

@@ -258,6 +258,53 @@ let test_arena_backends_match () =
       Sod2_runtime.Backend.Parallel; Sod2_runtime.Backend.Fused;
     ]
 
+(* Softmax, LayerNorm and Transpose have destination kernels: under
+   fused,arena none of those nodes with a planned slot falls back to the
+   boxed path ("arena-boxed:<op>"), and codebert's per-run copy-outs of
+   arena-resident inputs stay below the 20 they cost while those ops ran
+   boxed.  Counters only, so nothing here depends on timing. *)
+let test_arena_strided_ops_dest () =
+  let sp = spec "codebert" in
+  let g = graph_of "codebert" in
+  let c = Sod2.Pipeline.compile cpu g in
+  let env = tiny_env sp in
+  let inputs = Zoo.make_inputs sp g env (Rng.create 5) in
+  let be = Sod2_runtime.Backend.for_compiled Sod2_runtime.Backend.Fused c in
+  Fun.protect
+    ~finally:(fun () -> Sod2_runtime.Backend.shutdown be)
+    (fun () ->
+      let arena = Sod2_runtime.Arena.create () in
+      let run () = Sod2_runtime.Engine.run_arena ~backend:be ~arena c ~env ~inputs in
+      ignore (run ());
+      Profile.Counters.reset ();
+      ignore (run ());
+      let count k =
+        Option.value ~default:0 (List.assoc_opt k (Profile.Counters.by_kind ()))
+      in
+      let names = List.map Op.name [ Op.Softmax { axis = -1 }; Op.LayerNorm { eps = 0.0 } ] in
+      let nodes_of name =
+        Array.fold_left
+          (fun n (nd : Graph.node) -> if Op.name nd.Graph.op = name then n + 1 else n)
+          0 (Graph.nodes g)
+      in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) ("codebert has " ^ name ^ " nodes") true (nodes_of name > 0))
+        names;
+      List.iter
+        (fun op ->
+          let name = Op.name op in
+          Alcotest.(check int) (name ^ " nodes run boxed") 0 (count ("arena-boxed:" ^ name)))
+        [ Op.Softmax { axis = -1 }; Op.LogSoftmax { axis = -1 }; Op.LayerNorm { eps = 0.0 };
+          Op.Transpose [] ];
+      Alcotest.(check bool) "slot stores cover every softmax and layer norm" true
+        (count "arena-dest-store" >= List.fold_left (fun n name -> n + nodes_of name) 0 names);
+      let copy_outs = count "arena-copy-out" in
+      if copy_outs >= 20 then
+        Alcotest.failf "%d arena copy-outs per run (want < 20); counters: %s" copy_outs
+          (String.concat ", "
+             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Profile.Counters.by_kind ()))))
+
 let test_arena_rejects_mismatched_env () =
   let sp = spec "codebert" in
   let g = graph_of "codebert" in
@@ -340,6 +387,7 @@ let suite =
       test_arena_steady_state;
     Alcotest.test_case "empty control-flow predicate raises" `Quick test_empty_predicate_raises;
     Alcotest.test_case "arena composes with every backend" `Slow test_arena_backends_match;
+    Alcotest.test_case "arena: strided ops store into slots" `Quick test_arena_strided_ops_dest;
     Alcotest.test_case "event bookkeeping" `Quick test_event_bookkeeping;
     Alcotest.test_case "unresolved dry shapes raise" `Quick test_unresolved_raises;
     Alcotest.test_case "dry mode deterministic" `Quick test_dry_deterministic;

@@ -132,8 +132,37 @@ let test_malformed_text_is_error () =
          (node (op add) (name a) (inputs 0) (outputs 1))\n(outputs 1)\n" );
     ]
 
+(* Axis attributes are checked against the rank one forward shape sweep
+   infers, so the defect shows at compile time, not inside a kernel. *)
+let one_node_graph op =
+  let b = Graph.Builder.create () in
+  let x = Graph.Builder.input b ~name:"x" (Shape.of_dims [ Dim.of_int 2; Dim.of_sym "S" ]) in
+  let h = Graph.Builder.node1 b (Op.Unary Op.Relu) [ x ] in
+  let y = Graph.Builder.node1 b op [ h ] in
+  Graph.Builder.set_outputs b [ y ];
+  Graph.Builder.finish_unchecked b
+
+let test_axis_attributes () =
+  List.iter
+    (fun (name, op) -> check_fails name Sod2_error.Invalid_graph (one_node_graph op))
+    [
+      "transpose perm with a repeat", Op.Transpose [ 1; 1 ];
+      "transpose perm of the wrong rank", Op.Transpose [ 2; 0; 1 ];
+      "softmax axis 2 on rank 2", Op.Softmax { axis = 2 };
+      "log-softmax axis -3 on rank 2", Op.LogSoftmax { axis = -3 };
+      "reduce axis 4 on rank 2", Op.Reduce { rkind = Op.Rsum; axes = [ 0; 4 ]; keepdims = true };
+      "argmax axis -3 on rank 2", Op.ArgMax { axis = -3; keepdims = false };
+    ];
+  List.iter
+    (fun op ->
+      match Validate.check (one_node_graph op) with
+      | Ok () -> ()
+      | Error errs -> Alcotest.failf "in-range attribute rejected:\n%s" (Validate.report errs))
+    [ Op.Transpose [ 1; 0 ]; Op.Softmax { axis = -1 }; Op.ArgMin { axis = -2; keepdims = true } ]
+
 let suite =
   [
+    Alcotest.test_case "axis attributes vs inferred rank" `Quick test_axis_attributes;
     Alcotest.test_case "zoo models validate" `Quick test_zoo_models_valid;
     Alcotest.test_case "dangling output" `Quick test_dangling_output;
     Alcotest.test_case "arity mismatch" `Quick test_arity_mismatch;

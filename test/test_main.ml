@@ -14,6 +14,7 @@ let () =
       "tune", Suite_tune.suite;
       "runtime", Suite_runtime.suite;
       "kernels", Suite_kernels.suite;
+      "strided", Suite_strided.suite;
       "fused", Suite_fused.suite;
       "guard", Suite_guard.suite;
       "engine", Suite_engine.suite;
