@@ -19,8 +19,8 @@
      order — no intermediate tensor is ever allocated;
    - a heavy anchor runs through the blocked kernels with the compiled
      element function installed as {!Blocked.gemm}'s write-back [epilogue],
-     so bias/BN/activation/residual chains are applied while the micro-tile
-     result is still in registers.  When the epilogue path cannot legally
+     so bias/BN/activation/residual chains are applied in the same pass
+     that stores the tile's result.  When the epilogue path cannot legally
      see the accumulator (the chain transposes or broadcasts the anchor
      value, or the problem is Tiny), the anchor result is computed first
      and the chain runs as the elementwise phase over it;

@@ -4,7 +4,7 @@
     chains become one closure-compiled loop over the terminal output's flat
     index space (no intermediate tensors; broadcasts become precomputed
     index maps), and heavy anchors (MatMul/Gemm/Conv/Conv1d) run the
-    blocked kernels with the rest of the group installed as the micro-tile
+    blocked kernels with the rest of the group installed as the tile's
     write-back epilogue.
 
     Compile time produces {!template}s (one per eligible group); the first

@@ -203,8 +203,8 @@ let dyn_quant_activation x =
 (* [matmul_q8_into t x qw ~c ~co] writes the dequantized product of the
    2-D float activation [x] and the int8 weight payload [qw] into the
    float buffer [c] at element offset [co], returning the output dims.
-   The int8 GEMM's epilogue folds the scale product into the micro-tile
-   write-back, so no int32 intermediate is materialized and the result
+   The int8 GEMM's typed [Dequant] epilogue folds the scale product into
+   the C kernel's write-back, so no int32 intermediate is materialized and the result
    composes with the float arena exactly like any other dest-passing
    kernel.  Every output element is overwritten — no zero-init needed. *)
 let matmul_q8_into ?cls t x (qw : Quant.qtensor) ~c ~co =
@@ -216,8 +216,8 @@ let matmul_q8_into ?cls t x (qw : Quant.qtensor) ~c ~co =
     let cls = match cls with Some c -> c | None -> Multi_version.classify_gemm ~m ~n ~k in
     Sod2_tensor.Blocked.gemm_i8_dequant ~par:(par_of t) ~tiles:(tiles_for t cls)
       ~za:zx ~zb:0
-      ~epilogue:(fun _ acc -> float_of_int acc *. scale)
-      ~ep_off:co ~m ~n ~k ~a:(Tensor.storage_i8 qa) ~ao:0
+      ~epilogue:(Sod2_tensor.Blocked.Dequant { scales = [| scale |]; bias = None })
+      ~m ~n ~k ~a:(Tensor.storage_i8 qa) ~ao:0
       ~b:(Tensor.storage_i8 qw.Quant.q) ~bo:0 ~c ~co ();
     [ m; n ]
   | _ ->
@@ -237,9 +237,7 @@ let matmul_q8 ?cls t x qw =
 
 (* Quantized NCHW convolution into a float destination.  Per-channel
    weight scales (and the float bias, when present) are folded into the
-   dequantization epilogue: the output-channel index of element [ei] is
-   [ei / (oh·ow) mod m] because [ep_off] makes epilogue indices
-   output-relative. *)
+   [Dequant] epilogue, whose rows are the output channels. *)
 let conv2d_q8_into ?cls t ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) bias
     ~c ~co =
   match Tensor.dims x, Tensor.dims qw.Quant.q with
@@ -257,20 +255,12 @@ let conv2d_q8_into ?cls t ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) 
         ~dilation:dw_
     in
     let sp = oh * ow in
-    let chscale =
-      if Array.length wscales = 1 then
-        let s = sx *. wscales.(0) in
-        fun _ -> s
-      else fun chn -> sx *. Array.unsafe_get wscales chn
-    in
     let epilogue =
-      match bias with
-      | None -> fun ei acc -> float_of_int acc *. chscale (ei / sp mod m)
-      | Some b ->
-        let bv = Array.init m (fun i -> Tensor.get_f b [| i |]) in
-        fun ei acc ->
-          let chn = ei / sp mod m in
-          (float_of_int acc *. chscale chn) +. Array.unsafe_get bv chn
+      Sod2_tensor.Blocked.Dequant
+        {
+          scales = Array.map (fun ws -> sx *. ws) wscales;
+          bias = Option.map (fun b -> Array.init m (fun i -> Tensor.get_f b [| i |])) bias;
+        }
     in
     let cl =
       match cls with
@@ -278,7 +268,7 @@ let conv2d_q8_into ?cls t ~stride ~pad ~dilation ~groups x (qw : Quant.qtensor) 
       | None -> Multi_version.classify_gemm ~m ~n:(n * sp) ~k:(cg * kh * kw)
     in
     Sod2_tensor.Blocked.conv2d_i8_dequant_into ~par:(par_of t) ~tiles:(tiles_for t cl)
-      ~zx ~zw:0 ~epilogue ~ep_off:co ~stride ~pad ~dilation ~groups
+      ~zx ~zw:0 ~epilogue ~stride ~pad ~dilation ~groups
       ~x:(Tensor.storage_i8 qa) ~xoff:0 ~xdims:[| n; ch; h; w |]
       ~w:(Tensor.storage_i8 qw.Quant.q) ~woff:0 ~wdims:[| m; cg; kh; kw |] ~c ~co ()
   | _ ->

@@ -87,9 +87,9 @@ val conv1d :
     The runtime half of dynamic-range quantization: weights arrive as
     compile-time int8 payloads ({!Pipeline.quant_weights}), the float
     activation is calibrated and quantized per-tensor at call time, the
-    packed int8 kernels accumulate in int32, and the dequantization
-    epilogue (scale product, per-channel for conv, plus bias) is folded
-    into the micro-tile write-back — the output is float again, so
+    int8 tile kernels accumulate in int32, and the typed dequantization
+    epilogue (scale product, per-channel for conv, plus bias) is applied
+    at the tile's write-back — the output is float again, so
     quantized nodes compose with the arena/engine machinery unchanged.
     These paths run the blocked int8 kernels for every backend kind and
     shape class; use [config.quant = false] (or {!Executor.degraded}) for

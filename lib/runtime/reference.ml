@@ -3,7 +3,7 @@
    requantization spec plus direct zero-point-subtracting loop nests.
    Deliberately written without {!Quant} or {!Blocked} — the qcheck
    suites hold the fused kernels bit-for-bit equal to this, so a slip in
-   either transcription (or in the packed kernels' SWAR/row-sum algebra)
+   either transcription (or in the C tile kernels' row-sum algebra)
    surfaces as a test failure instead of cancelling out. *)
 
 let requantize ~qm ~shift ~zp acc =

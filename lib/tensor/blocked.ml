@@ -14,335 +14,137 @@ let sequential =
 type tiles = {
   tm : int;
   tn : int;
-  tk : int;  (* retained for the autotuner's config space; packing is full-depth *)
-  kunroll : int;
+  tk : int;  (* kept for the autotuner's config space and Tune_cache lines *)
+  kunroll : int;  (* likewise: the C tile selects no kernel by it *)
 }
 
 let default_tiles = { tm = 64; tn = 32; tk = 128; kunroll = 4 }
 
-(* Floors measured against the real kernel: micro-tiles need at least 8
-   quad-rows/pair-columns to amortize the edge guards, and an unroll below
-   4 leaves FP-add latency exposed.  The autotuner steers above these
-   floors. *)
+(* Floors that keep the tile loops out of their edge cases: a macro tile
+   of at least 32 rows and a column block of at least two 16-wide
+   micro-tiles.  The autotuner steers above these floors. *)
 let tiles_of ~tile_m ~tile_n ~tile_k ~unroll =
   { tm = max 32 tile_m; tn = max 32 tile_n; tk = max 64 tile_k; kunroll = max 4 unroll }
 
 let ceil_div x y = (x + y - 1) / y
 
-(* 4×2 register micro-tile over packed panels: [ap] holds row quads
-   ([(ip*k + p)*4 + ii]), [bp] column pairs ([(jp*k + p)*2 + jj]), so both
-   streams are read contiguously.  Accumulators travel as tail-call
-   arguments, which the native compiler keeps in FP registers — the whole
-   k-loop runs without touching C, and the eight independent accumulator
-   chains hide the FP-add latency (6 loads feed 8 multiply-adds).
+(* ---------------------------------------------------------------- *)
+(* C tile kernels (gemm_stubs.c)                                     *)
 
-   Each accumulator is one ascending-p chain of double-precision adds over
-   the full depth — the same operation sequence as the naive reference —
-   so the single rounding store at write-back yields bit-identical results
-   in every precision. *)
-let rec micro4x2 ap bp ia ib kk c00 c01 c10 c11 c20 c21 c30 c31 =
-  if kk <= 0 then (c00, c01, c10, c11, c20, c21, c30, c31)
-  else
-    let a0 = Array.unsafe_get ap ia
-    and a1 = Array.unsafe_get ap (ia + 1)
-    and a2 = Array.unsafe_get ap (ia + 2)
-    and a3 = Array.unsafe_get ap (ia + 3)
-    and b0 = Array.unsafe_get bp ib
-    and b1 = Array.unsafe_get bp (ib + 1) in
-    micro4x2 ap bp (ia + 4) (ib + 2) (kk - 1)
-      (c00 +. (a0 *. b0))
-      (c01 +. (a0 *. b1))
-      (c10 +. (a1 *. b0))
-      (c11 +. (a1 *. b1))
-      (c20 +. (a2 *. b0))
-      (c21 +. (a2 *. b1))
-      (c30 +. (a3 *. b0))
-      (c31 +. (a3 *. b1))
+type f64scratch = (float, Bigarray.float64_elt, Bigarray.c_layout) BA1.t
+type bytes_scratch = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) BA1.t
 
-let rec micro4x2u2 ap bp ia ib kk c00 c01 c10 c11 c20 c21 c30 c31 =
-  if kk < 2 then micro4x2 ap bp ia ib kk c00 c01 c10 c11 c20 c21 c30 c31
-  else
-    let a0 = Array.unsafe_get ap ia
-    and a1 = Array.unsafe_get ap (ia + 1)
-    and a2 = Array.unsafe_get ap (ia + 2)
-    and a3 = Array.unsafe_get ap (ia + 3)
-    and b0 = Array.unsafe_get bp ib
-    and b1 = Array.unsafe_get bp (ib + 1) in
-    let c00 = c00 +. (a0 *. b0)
-    and c01 = c01 +. (a0 *. b1)
-    and c10 = c10 +. (a1 *. b0)
-    and c11 = c11 +. (a1 *. b1)
-    and c20 = c20 +. (a2 *. b0)
-    and c21 = c21 +. (a2 *. b1)
-    and c30 = c30 +. (a3 *. b0)
-    and c31 = c31 +. (a3 *. b1) in
-    let a4 = Array.unsafe_get ap (ia + 4)
-    and a5 = Array.unsafe_get ap (ia + 5)
-    and a6 = Array.unsafe_get ap (ia + 6)
-    and a7 = Array.unsafe_get ap (ia + 7)
-    and b2 = Array.unsafe_get bp (ib + 2)
-    and b3 = Array.unsafe_get bp (ib + 3) in
-    micro4x2u2 ap bp (ia + 8) (ib + 4) (kk - 2)
-      (c00 +. (a4 *. b2))
-      (c01 +. (a4 *. b3))
-      (c10 +. (a5 *. b2))
-      (c11 +. (a5 *. b3))
-      (c20 +. (a6 *. b2))
-      (c21 +. (a6 *. b3))
-      (c30 +. (a7 *. b2))
-      (c31 +. (a7 *. b3))
+(* [gemm_f a b c ep params] runs one float tile: rows [i0, i0+rows) ×
+   columns [j0, j1) of [c += a·b], params = [| ao; bo; co; n; k; i0;
+   rows; j0; j1; tn; use_ep; ep_ld |].  With [use_ep = 1] the pre-store
+   double value [c + Σ a·b] of each element goes to [ep] (row-major,
+   leading dimension [ep_ld]) and C is left untouched. *)
+external gemm_f_tile :
+  Tensor.fbuf -> Tensor.fbuf -> Tensor.fbuf -> f64scratch -> int array -> unit
+  = "sod2_gemm_f"
 
-let rec micro4x2u4 ap bp ia ib kk c00 c01 c10 c11 c20 c21 c30 c31 =
-  if kk < 4 then micro4x2u2 ap bp ia ib kk c00 c01 c10 c11 c20 c21 c30 c31
-  else begin
-    let a0 = Array.unsafe_get ap ia
-    and a1 = Array.unsafe_get ap (ia + 1)
-    and a2 = Array.unsafe_get ap (ia + 2)
-    and a3 = Array.unsafe_get ap (ia + 3)
-    and b0 = Array.unsafe_get bp ib
-    and b1 = Array.unsafe_get bp (ib + 1) in
-    let c00 = c00 +. (a0 *. b0)
-    and c01 = c01 +. (a0 *. b1)
-    and c10 = c10 +. (a1 *. b0)
-    and c11 = c11 +. (a1 *. b1)
-    and c20 = c20 +. (a2 *. b0)
-    and c21 = c21 +. (a2 *. b1)
-    and c30 = c30 +. (a3 *. b0)
-    and c31 = c31 +. (a3 *. b1) in
-    let a0 = Array.unsafe_get ap (ia + 4)
-    and a1 = Array.unsafe_get ap (ia + 5)
-    and a2 = Array.unsafe_get ap (ia + 6)
-    and a3 = Array.unsafe_get ap (ia + 7)
-    and b0 = Array.unsafe_get bp (ib + 2)
-    and b1 = Array.unsafe_get bp (ib + 3) in
-    let c00 = c00 +. (a0 *. b0)
-    and c01 = c01 +. (a0 *. b1)
-    and c10 = c10 +. (a1 *. b0)
-    and c11 = c11 +. (a1 *. b1)
-    and c20 = c20 +. (a2 *. b0)
-    and c21 = c21 +. (a2 *. b1)
-    and c30 = c30 +. (a3 *. b0)
-    and c31 = c31 +. (a3 *. b1) in
-    let a0 = Array.unsafe_get ap (ia + 8)
-    and a1 = Array.unsafe_get ap (ia + 9)
-    and a2 = Array.unsafe_get ap (ia + 10)
-    and a3 = Array.unsafe_get ap (ia + 11)
-    and b0 = Array.unsafe_get bp (ib + 4)
-    and b1 = Array.unsafe_get bp (ib + 5) in
-    let c00 = c00 +. (a0 *. b0)
-    and c01 = c01 +. (a0 *. b1)
-    and c10 = c10 +. (a1 *. b0)
-    and c11 = c11 +. (a1 *. b1)
-    and c20 = c20 +. (a2 *. b0)
-    and c21 = c21 +. (a2 *. b1)
-    and c30 = c30 +. (a3 *. b0)
-    and c31 = c31 +. (a3 *. b1) in
-    let a0 = Array.unsafe_get ap (ia + 12)
-    and a1 = Array.unsafe_get ap (ia + 13)
-    and a2 = Array.unsafe_get ap (ia + 14)
-    and a3 = Array.unsafe_get ap (ia + 15)
-    and b0 = Array.unsafe_get bp (ib + 6)
-    and b1 = Array.unsafe_get bp (ib + 7) in
-    micro4x2u4 ap bp (ia + 16) (ib + 8) (kk - 4)
-      (c00 +. (a0 *. b0))
-      (c01 +. (a0 *. b1))
-      (c10 +. (a1 *. b0))
-      (c11 +. (a1 *. b1))
-      (c20 +. (a2 *. b0))
-      (c21 +. (a2 *. b1))
-      (c30 +. (a3 *. b0))
-      (c31 +. (a3 *. b1))
-  end
+external gemm_f_tile_portable :
+  Tensor.fbuf -> Tensor.fbuf -> Tensor.fbuf -> f64scratch -> int array -> unit
+  = "sod2_gemm_f_portable"
 
-(* Pack all of B into one full-depth panel (shared read-only by every macro
-   row-tile): columns grouped in pairs, odd tails padded with zeros so the
-   micro-kernel never branches on the edge.  One monomorphic loop per
-   storage kind — the generic accessor would put a C call in the pack. *)
-let pack_b_f32 (b : Tensor.f32buf) bo ~n ~k ~npairs =
-  let panel = Array.make (npairs * k * 2) 0.0 in
-  for jp = 0 to npairs - 1 do
-    let j = jp * 2 in
-    let base = jp * k * 2 in
-    if j + 1 < n then
-      for p = 0 to k - 1 do
-        let s = bo + (p * n) + j in
-        Array.unsafe_set panel (base + (p * 2)) (BA1.unsafe_get b s);
-        Array.unsafe_set panel (base + (p * 2) + 1) (BA1.unsafe_get b (s + 1))
-      done
-    else
-      for p = 0 to k - 1 do
-        Array.unsafe_set panel (base + (p * 2)) (BA1.unsafe_get b (bo + (p * n) + j))
-      done
-  done;
-  panel
+(* [i8_pack_b b bo n k dst] widens and transposes B (k×n at [bo]) into
+   [dst], followed by its n column sums; shared by every row tile. *)
+external i8_pack_b : Tensor.i8buf -> int -> int -> int -> bytes_scratch -> unit
+  = "sod2_i8_pack_b"
 
-let pack_b_f64 (b : Tensor.f64buf) bo ~n ~k ~npairs =
-  let panel = Array.make (npairs * k * 2) 0.0 in
-  for jp = 0 to npairs - 1 do
-    let j = jp * 2 in
-    let base = jp * k * 2 in
-    if j + 1 < n then
-      for p = 0 to k - 1 do
-        let s = bo + (p * n) + j in
-        Array.unsafe_set panel (base + (p * 2)) (BA1.unsafe_get b s);
-        Array.unsafe_set panel (base + (p * 2) + 1) (BA1.unsafe_get b (s + 1))
-      done
-    else
-      for p = 0 to k - 1 do
-        Array.unsafe_set panel (base + (p * 2)) (BA1.unsafe_get b (bo + (p * n) + j))
-      done
-  done;
-  panel
+(* [i8_tile a packed c rq scales bias params]: rows [i0, i0+rows) of the
+   int8 GEMM, params = [| ao; co; n; k; i0; rows; za; zb; tn; row0 |]. *)
+external i8_tile :
+  Tensor.i8buf -> bytes_scratch -> ('a, 'b, Bigarray.c_layout) BA1.t -> int array ->
+  float array -> float array -> int array -> unit = "sod2_i8_tile_byte" "sod2_i8_tile"
 
-(* Pack one macro row-tile of A into full-depth row quads, short tiles
-   zero-padded. *)
-let pack_a_f32 (a : Tensor.f32buf) ao ~k ~i0 ~mc abuf =
-  let mquads = ceil_div mc 4 in
-  for ip = 0 to mquads - 1 do
-    let i = i0 + (ip * 4) in
-    let base = ip * k * 4 in
-    let rows = min 4 (i0 + mc - i) in
-    let r0 = ao + (i * k) in
-    if rows = 4 then
-      for p = 0 to k - 1 do
-        let d = base + (p * 4) and s = r0 + p in
-        Array.unsafe_set abuf d (BA1.unsafe_get a s);
-        Array.unsafe_set abuf (d + 1) (BA1.unsafe_get a (s + k));
-        Array.unsafe_set abuf (d + 2) (BA1.unsafe_get a (s + (2 * k)));
-        Array.unsafe_set abuf (d + 3) (BA1.unsafe_get a (s + (3 * k)))
-      done
-    else begin
-      Array.fill abuf base (k * 4) 0.0;
-      for r = 0 to rows - 1 do
-        let rs = r0 + (r * k) in
-        for p = 0 to k - 1 do
-          Array.unsafe_set abuf (base + (p * 4) + r) (BA1.unsafe_get a (rs + p))
-        done
-      done
-    end
-  done
+external i8_tile_portable :
+  Tensor.i8buf -> bytes_scratch -> ('a, 'b, Bigarray.c_layout) BA1.t -> int array ->
+  float array -> float array -> int array -> unit
+  = "sod2_i8_tile_portable_byte" "sod2_i8_tile_portable"
 
-let pack_a_f64 (a : Tensor.f64buf) ao ~k ~i0 ~mc abuf =
-  let mquads = ceil_div mc 4 in
-  for ip = 0 to mquads - 1 do
-    let i = i0 + (ip * 4) in
-    let base = ip * k * 4 in
-    let rows = min 4 (i0 + mc - i) in
-    let r0 = ao + (i * k) in
-    if rows = 4 then
-      for p = 0 to k - 1 do
-        let d = base + (p * 4) and s = r0 + p in
-        Array.unsafe_set abuf d (BA1.unsafe_get a s);
-        Array.unsafe_set abuf (d + 1) (BA1.unsafe_get a (s + k));
-        Array.unsafe_set abuf (d + 2) (BA1.unsafe_get a (s + (2 * k)));
-        Array.unsafe_set abuf (d + 3) (BA1.unsafe_get a (s + (3 * k)))
-      done
-    else begin
-      Array.fill abuf base (k * 4) 0.0;
-      for r = 0 to rows - 1 do
-        let rs = r0 + (r * k) in
-        for p = 0 to k - 1 do
-          Array.unsafe_set abuf (base + (p * 4) + r) (BA1.unsafe_get a (rs + p))
-        done
-      done
-    end
-  done
+external isa : unit -> string = "sod2_gemm_isa"
 
-let gemm ?(par = sequential) ?(tiles = default_tiles) ?epilogue ?(ep_off = 0) ~m ~n ~k
-    ~(a : Tensor.fbuf) ~ao ~(b : Tensor.fbuf) ~bo ~(c : Tensor.fbuf) ~co () =
+(* The C entry points a call runs: the dispatched clones, or (tests only,
+   through {!For_testing}) the portable bodies of the same source. *)
+type kernels = {
+  ftile : Tensor.fbuf -> Tensor.fbuf -> Tensor.fbuf -> f64scratch -> int array -> unit;
+  itile :
+    'a 'b. Tensor.i8buf -> bytes_scratch -> ('a, 'b, Bigarray.c_layout) BA1.t ->
+    int array -> float array -> float array -> int array -> unit;
+}
+
+let dispatched = { ftile = gemm_f_tile; itile = i8_tile }
+let portable = { ftile = gemm_f_tile_portable; itile = i8_tile_portable }
+
+let no_scratch : f64scratch = BA1.create Bigarray.float64 Bigarray.c_layout 0
+
+(* Per-domain buffers that only grow: a steady stream of calls allocates
+   nothing.  A domain runs one GEMM tile at a time, so one buffer per
+   domain is never shared. *)
+let grow_key create =
+  Domain.DLS.new_key (fun () -> ref (create 0))
+
+let grown key create len =
+  let r = Domain.DLS.get key in
+  if BA1.dim !r < len then r := create len;
+  !r
+
+let ep_key = grow_key (BA1.create Bigarray.float64 Bigarray.c_layout)
+
+(* Columns per epilogue chunk: the double buffer of one chunk stays near
+   128 KB whatever the tile height. *)
+let ep_chunk_elems = 16384
+
+(* ---------------------------------------------------------------- *)
+(* Float GEMM                                                        *)
+
+let check_window what buf off len =
+  if off < 0 || len < 0 || off + len > Tensor.fbuf_len buf then
+    invalid_arg (Printf.sprintf "Blocked.gemm: %s window outside its buffer" what)
+
+let gemm_with kern ?(par = sequential) ?(tiles = default_tiles) ?epilogue
+    ?(ep_off = 0) ~m ~n ~k ~(a : Tensor.fbuf) ~ao ~(b : Tensor.fbuf) ~bo ~(c : Tensor.fbuf)
+    ~co () =
   if m > 0 && n > 0 && k > 0 then begin
-    let { tm; tn; tk = _; kunroll } = tiles in
-    let npairs = ceil_div n 2 in
-    let bp =
-      match b with
-      | Tensor.FB32 bb -> pack_b_f32 bb bo ~n ~k ~npairs
-      | Tensor.FB64 bb -> pack_b_f64 bb bo ~n ~k ~npairs
-    in
-    (* Read-modify-write on the destination, matched once per call: the
-       write-back is O(mn) against the O(mnk) compute, so the closure call
-       per element stays in the noise. *)
-    let cread, cstore =
-      match c with
-      | Tensor.FB32 cb ->
-        (fun i -> BA1.unsafe_get cb i), fun i v -> BA1.unsafe_set cb i v
-      | Tensor.FB64 cb ->
-        (fun i -> BA1.unsafe_get cb i), fun i v -> BA1.unsafe_set cb i v
-    in
-    let jpt = max 1 (tn / 2) in
-    let jt_count = ceil_div npairs jpt in
+    check_window "A" a ao (m * k);
+    check_window "B" b bo (k * n);
+    check_window "C" c co (m * n);
+    let { tm; tn; tk = _; kunroll = _ } = tiles in
     par.run (ceil_div m tm) (fun it ->
         let i0 = it * tm in
         let mc = min tm (m - i0) in
-        let mquads = ceil_div mc 4 in
-        let abuf = Array.make (mquads * k * 4) 0.0 in
-        (match a with
-        | Tensor.FB32 ab -> pack_a_f32 ab ao ~k ~i0 ~mc abuf
-        | Tensor.FB64 ab -> pack_a_f64 ab ao ~k ~i0 ~mc abuf);
-        let micro =
-          if kunroll >= 4 then micro4x2u4
-          else if kunroll >= 2 then micro4x2u2
-          else micro4x2
-        in
-        for jt = 0 to jt_count - 1 do
-          let jp_end = min npairs ((jt + 1) * jpt) in
-          for ip = 0 to mquads - 1 do
-            let iabase = ip * k * 4 in
-            let i = i0 + (ip * 4) in
-            let rows = min 4 (i0 + mc - i) in
-            for jp = jt * jpt to jp_end - 1 do
-              let c00, c01, c10, c11, c20, c21, c30, c31 =
-                micro abuf bp iabase (jp * k * 2) k 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0
-              in
-              let j = jp * 2 in
-              let wide = j + 1 < n in
-              let ci = co + (i * n) + j in
-              (match epilogue with
-              | None ->
-                cstore ci (cread ci +. c00);
-                if wide then cstore (ci + 1) (cread (ci + 1) +. c01);
-                if rows > 1 then begin
-                  let ci1 = ci + n in
-                  cstore ci1 (cread ci1 +. c10);
-                  if wide then cstore (ci1 + 1) (cread (ci1 + 1) +. c11);
-                  if rows > 2 then begin
-                    let ci2 = ci1 + n in
-                    cstore ci2 (cread ci2 +. c20);
-                    if wide then cstore (ci2 + 1) (cread (ci2 + 1) +. c21);
-                    if rows > 3 then begin
-                      let ci3 = ci2 + n in
-                      cstore ci3 (cread ci3 +. c30);
-                      if wide then cstore (ci3 + 1) (cread (ci3 + 1) +. c31)
-                    end
-                  end
-                end
-              | Some f ->
-                (* [ei] is the epilogue's destination-relative index: a
-                   plain subtraction here keeps arena callers (ep_off =
-                   their slot base) off a per-element shift closure.  The
-                   epilogue sees the double-precision pre-store value, and
-                   the store is still the single rounding point. *)
-                let ei = ci - ep_off in
-                cstore ci (f ei (cread ci +. c00));
-                if wide then cstore (ci + 1) (f (ei + 1) (cread (ci + 1) +. c01));
-                if rows > 1 then begin
-                  let ci1 = ci + n and ei1 = ei + n in
-                  cstore ci1 (f ei1 (cread ci1 +. c10));
-                  if wide then cstore (ci1 + 1) (f (ei1 + 1) (cread (ci1 + 1) +. c11));
-                  if rows > 2 then begin
-                    let ci2 = ci1 + n and ei2 = ei1 + n in
-                    cstore ci2 (f ei2 (cread ci2 +. c20));
-                    if wide then cstore (ci2 + 1) (f (ei2 + 1) (cread (ci2 + 1) +. c21));
-                    if rows > 3 then begin
-                      let ci3 = ci2 + n and ei3 = ei2 + n in
-                      cstore ci3 (f ei3 (cread ci3 +. c30));
-                      if wide then cstore (ci3 + 1) (f (ei3 + 1) (cread (ci3 + 1) +. c31))
-                    end
-                  end
-                end)
-            done
-          done
-        done)
+        match epilogue with
+        | None ->
+          kern.ftile a b c no_scratch [| ao; bo; co; n; k; i0; mc; 0; n; tn; 0; 0 |]
+        | Some f ->
+          (* The C tile leaves [c + Σ a·b] per element in a double buffer;
+             the closure sees that pre-store value and the store is still
+             the single rounding point.  [ei] is the epilogue's
+             destination-relative index (see the interface). *)
+          let w = max 16 (ep_chunk_elems / mc / 16 * 16) in
+          let buf = grown ep_key (BA1.create Bigarray.float64 Bigarray.c_layout) (mc * w) in
+          let cstore =
+            match c with
+            | Tensor.FB32 cb -> fun i v -> BA1.unsafe_set cb i v
+            | Tensor.FB64 cb -> fun i v -> BA1.unsafe_set cb i v
+          in
+          let j0 = ref 0 in
+          while !j0 < n do
+            let j1 = min n (!j0 + w) in
+            kern.ftile a b c buf [| ao; bo; co; n; k; i0; mc; !j0; j1; tn; 1; w |];
+            for r = 0 to mc - 1 do
+              let ci = co + ((i0 + r) * n) in
+              let ei = ci - ep_off and bi = (r * w) - !j0 in
+              for j = !j0 to j1 - 1 do
+                cstore (ci + j) (f (ei + j) (BA1.unsafe_get buf (bi + j)))
+              done
+            done;
+            j0 := j1
+          done)
   end
+
+let gemm ?par = gemm_with dispatched ?par
 
 let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ?epilogue
     ?(ep_off = 0) ~stride ~pad ~dilation ~groups (vx : Tensor.view)
@@ -452,318 +254,89 @@ let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ?epilogue
   [ n; m; oh; ow ]
 
 (* ---------------------------------------------------------------- *)
-(* Int8 path: packed panels, integer micro-kernel, fused requantize   *)
+(* Int8 path: C tile kernels with a typed epilogue                    *)
 
-(* The integer micro-tile is 6×2, and the A panel packs THREE rows per
-   63-bit word at 21-bit field spacing — rows (i, i+2, i+4) as
-   [r0 + r2·2^21 + r4·2^42] and rows (i+1, i+3, i+5) likewise — so one
-   native multiply against a sign-extended B element computes THREE
-   multiply-accumulates.  Scalar OCaml has one integer multiplier port
-   to play with; cutting the multiply count to a third is what puts the
-   int8 kernel decisively ahead of the f32 one (whose two FP ports give
-   it the same 2-MACs-per-port-cycle a two-field packing would).  The
-   tile keeps just four live accumulator words, so nothing spills — a
-   4×4 variant with eight accumulators was tried and regressed on spill
-   traffic.
-
-   Field discipline: |a|,|b| ≤ 128, so each 21-bit field accumulates at
-   most kb·2^14 and the field range ±2^20 allows kb ≤ 64 k-steps before
-   a field can overflow into its neighbour.  The depth loop therefore
-   runs in blocks of [i8_kblock] = 60 steps, draining the four SWAR
-   words into twelve plain int accumulators between blocks (the whole
-   word stays within ±60·2^56 < 2^62, so the top field never leaves the
-   63-bit int).  Reconstruction is standard signed-SWAR: sign-extend the
-   low 21 bits, subtract, shift, repeat.  Total depth stays capped at
-   2^16 so the drained accumulators remain int32-range for the
-   requantizer.
-
-   Zero points never enter the panels: the write-back applies the
-   algebraic correction  Σ(a-za)(b-zb) = Σab − zb·Σa − za·Σb + k·za·zb
-   from row/column sums collected during packing, so the packed values
-   stay raw int8 and the correction is exact integer arithmetic. *)
+(* The C kernel widens both operands to int16 and transposes B once per
+   call, so every output is an exact int32 dot product (|Σab| ≤ k·2^14 ≤
+   2^30 at the depth cap).  Zero points never enter the dot: write-back
+   applies the algebraic correction
+     Σ(a-za)(b-zb) = Σab − zb·Σa − za·Σb + k·za·zb
+   from row/column sums collected while packing, then the epilogue. *)
 
 let max_i8_depth = 1 lsl 16
-let i8_kblock = 60
 
-(* [iqblk] runs one overflow-safe depth block of a 6×2 micro-tile —
-   [ia] up to (exclusive) [iaend] — retiring four k-steps per iteration
-   with the accumulator words carried in the tail-recursion arguments,
-   then drains the fields inline into [acc] ([row*2 + col] layout): no
-   closure, tuple, or allocation anywhere on the depth path.  Exactly
-   ten arguments: that is how many the OCaml amd64 convention passes in
-   registers, and an eleventh would push the self-tail-call through the
-   stack on every iteration. *)
-let rec iqblk (ap : int array) (bp : int array) (acc : int array) ia ib iaend
-    q00 q01 q10 q11 =
-  if ia + 8 <= iaend then begin
-    let p0 = Array.unsafe_get ap ia
-    and p1 = Array.unsafe_get ap (ia + 1)
-    and b0 = Array.unsafe_get bp ib
-    and b1 = Array.unsafe_get bp (ib + 1) in
-    let q00 = q00 + (p0 * b0)
-    and q01 = q01 + (p0 * b1)
-    and q10 = q10 + (p1 * b0)
-    and q11 = q11 + (p1 * b1) in
-    let p0 = Array.unsafe_get ap (ia + 2)
-    and p1 = Array.unsafe_get ap (ia + 3)
-    and b0 = Array.unsafe_get bp (ib + 2)
-    and b1 = Array.unsafe_get bp (ib + 3) in
-    let q00 = q00 + (p0 * b0)
-    and q01 = q01 + (p0 * b1)
-    and q10 = q10 + (p1 * b0)
-    and q11 = q11 + (p1 * b1) in
-    let p0 = Array.unsafe_get ap (ia + 4)
-    and p1 = Array.unsafe_get ap (ia + 5)
-    and b0 = Array.unsafe_get bp (ib + 4)
-    and b1 = Array.unsafe_get bp (ib + 5) in
-    let q00 = q00 + (p0 * b0)
-    and q01 = q01 + (p0 * b1)
-    and q10 = q10 + (p1 * b0)
-    and q11 = q11 + (p1 * b1) in
-    let p0 = Array.unsafe_get ap (ia + 6)
-    and p1 = Array.unsafe_get ap (ia + 7)
-    and b0 = Array.unsafe_get bp (ib + 6)
-    and b1 = Array.unsafe_get bp (ib + 7) in
-    iqblk ap bp acc (ia + 8) (ib + 8) iaend
-      (q00 + (p0 * b0))
-      (q01 + (p0 * b1))
-      (q10 + (p1 * b0))
-      (q11 + (p1 * b1))
-  end
-  else if ia < iaend then begin
-    let p0 = Array.unsafe_get ap ia
-    and p1 = Array.unsafe_get ap (ia + 1)
-    and b0 = Array.unsafe_get bp ib
-    and b1 = Array.unsafe_get bp (ib + 1) in
-    iqblk ap bp acc (ia + 2) (ib + 2) iaend
-      (q00 + (p0 * b0))
-      (q01 + (p0 * b1))
-      (q10 + (p1 * b0))
-      (q11 + (p1 * b1))
-  end
-  else begin
-    (* Block boundary: unpack the three 21-bit fields of each word —
-       sign-extend the low field (rows i, i+1), subtract and shift for
-       the mid fields (rows i+2, i+3), repeat for the top fields (rows
-       i+4, i+5) — and accumulate into [acc]. *)
-    let l00 = (q00 lsl 42) asr 42 in
-    let r00 = (q00 - l00) asr 21 in
-    let m00 = (r00 lsl 42) asr 42 in
-    let l01 = (q01 lsl 42) asr 42 in
-    let r01 = (q01 - l01) asr 21 in
-    let m01 = (r01 lsl 42) asr 42 in
-    let l10 = (q10 lsl 42) asr 42 in
-    let r10 = (q10 - l10) asr 21 in
-    let m10 = (r10 lsl 42) asr 42 in
-    let l11 = (q11 lsl 42) asr 42 in
-    let r11 = (q11 - l11) asr 21 in
-    let m11 = (r11 lsl 42) asr 42 in
-    acc.(0) <- acc.(0) + l00;
-    acc.(1) <- acc.(1) + l01;
-    acc.(2) <- acc.(2) + l10;
-    acc.(3) <- acc.(3) + l11;
-    acc.(4) <- acc.(4) + m00;
-    acc.(5) <- acc.(5) + m01;
-    acc.(6) <- acc.(6) + m10;
-    acc.(7) <- acc.(7) + m11;
-    acc.(8) <- acc.(8) + ((r00 - m00) asr 21);
-    acc.(9) <- acc.(9) + ((r01 - m01) asr 21);
-    acc.(10) <- acc.(10) + ((r10 - m10) asr 21);
-    acc.(11) <- acc.(11) + ((r11 - m11) asr 21)
-  end
+type i8_epilogue =
+  | Requant of Quant.requant array
+  | Dequant of { scales : float array; bias : float array option }
 
-(* Depth loop for one micro-tile: one [iqblk] call per overflow-safe
-   block. *)
-let rec iqtile ap bp acc ia ib krem =
-  if krem > 0 then begin
-    let kb = if krem < i8_kblock then krem else i8_kblock in
-    iqblk ap bp acc ia ib (ia + (kb * 2)) 0 0 0 0;
-    iqtile ap bp acc (ia + (kb * 2)) (ib + (kb * 2)) (krem - kb)
-  end
+let pack_key = grow_key (BA1.create Bigarray.char Bigarray.c_layout)
 
-(* B panel: column pairs, sign-extended into a plain [int array] at pack
-   time.  Trading the 1-byte footprint for 8-byte words keeps the panel
-   L2-resident at bench sizes (512 KB at 256³) while making every inner-
-   loop B access a single indexed load — a Bigarray byte read costs a
-   data-pointer fetch plus a sign extension on every access, and the
-   micro-kernel does two of them per k-step.  An odd tail column is
-   zero-padded; per-column sums for the zero-point correction are
-   collected in the same pass. *)
-let pack_b_i8 (b : Tensor.i8buf) bo ~n ~k ~npairs =
-  let panel = Array.make (npairs * k * 2) 0 in
-  let bsum = Array.make (npairs * 2) 0 in
-  for jp = 0 to npairs - 1 do
-    let j = jp * 2 in
-    let base = jp * k * 2 in
-    if j + 1 < n then begin
-      let s0 = ref 0 and s1 = ref 0 in
-      for p = 0 to k - 1 do
-        let s = bo + (p * n) + j in
-        let v0 = BA1.unsafe_get b s and v1 = BA1.unsafe_get b (s + 1) in
-        Array.unsafe_set panel (base + (p * 2)) v0;
-        Array.unsafe_set panel (base + (p * 2) + 1) v1;
-        s0 := !s0 + v0;
-        s1 := !s1 + v1
-      done;
-      bsum.(j) <- !s0;
-      bsum.(j + 1) <- !s1
-    end
-    else begin
-      let s0 = ref 0 in
-      for p = 0 to k - 1 do
-        let v0 = BA1.unsafe_get b (bo + (p * n) + j) in
-        Array.unsafe_set panel (base + (p * 2)) v0;
-        s0 := !s0 + v0
-      done;
-      bsum.(j) <- !s0
-    end
-  done;
-  (panel, bsum)
+let check_i8 what (buf : Tensor.i8buf) off len =
+  if off < 0 || len < 0 || off + len > BA1.dim buf then
+    invalid_arg (Printf.sprintf "Blocked.gemm_i8: %s window outside its buffer" what)
 
-(* A panel: row sextets packed three-rows-per-word ([(ip*k + p)*2 +
-   {0,1}] holding rows (r, r+2, r+4) at 21-bit spacing), short tiles
-   padded with zero rows, per-row sums collected alongside. *)
-let pack_a_i8 (a : Tensor.i8buf) ao ~k ~i0 ~mc (abuf : int array) (asum : int array) =
-  let msext = ceil_div mc 6 in
-  for ip = 0 to msext - 1 do
-    let i = i0 + (ip * 6) in
-    let base = ip * k * 2 in
-    let rows = min 6 (i0 + mc - i) in
-    let r0 = ao + (i * k) in
-    if rows = 6 then begin
-      let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 in
-      let s3 = ref 0 and s4 = ref 0 and s5 = ref 0 in
-      for p = 0 to k - 1 do
-        let s = r0 + p in
-        let v0 = BA1.unsafe_get a s
-        and v1 = BA1.unsafe_get a (s + k)
-        and v2 = BA1.unsafe_get a (s + (2 * k))
-        and v3 = BA1.unsafe_get a (s + (3 * k))
-        and v4 = BA1.unsafe_get a (s + (4 * k))
-        and v5 = BA1.unsafe_get a (s + (5 * k)) in
-        Array.unsafe_set abuf (base + (p * 2)) (v0 + (v2 lsl 21) + (v4 lsl 42));
-        Array.unsafe_set abuf (base + (p * 2) + 1) (v1 + (v3 lsl 21) + (v5 lsl 42));
-        s0 := !s0 + v0;
-        s1 := !s1 + v1;
-        s2 := !s2 + v2;
-        s3 := !s3 + v3;
-        s4 := !s4 + v4;
-        s5 := !s5 + v5
-      done;
-      asum.((ip * 6)) <- !s0;
-      asum.((ip * 6) + 1) <- !s1;
-      asum.((ip * 6) + 2) <- !s2;
-      asum.((ip * 6) + 3) <- !s3;
-      asum.((ip * 6) + 4) <- !s4;
-      asum.((ip * 6) + 5) <- !s5
-    end
-    else begin
-      for r = 0 to 5 do
-        asum.((ip * 6) + r) <- 0
-      done;
-      for p = 0 to k - 1 do
-        let v r = if r < rows then BA1.unsafe_get a (r0 + (r * k) + p) else 0 in
-        Array.unsafe_set abuf (base + (p * 2)) (v 0 + (v 2 lsl 21) + (v 4 lsl 42));
-        Array.unsafe_set abuf (base + (p * 2) + 1) (v 1 + (v 3 lsl 21) + (v 5 lsl 42))
-      done;
-      for r = 0 to rows - 1 do
-        let rs = r0 + (r * k) in
-        let sr = ref 0 in
-        for p = 0 to k - 1 do
-          sr := !sr + BA1.unsafe_get a (rs + p)
-        done;
-        asum.((ip * 6) + r) <- !sr
-      done
-    end
-  done
+(* The epilogue as the C kernel reads it: flattened (qm, shift, zp)
+   triples, or scales and bias.  One entry serves every row; otherwise
+   there is one per epilogue row (row [row0 + i] for output row [i]). *)
+let epilogue_tables ~rows = function
+  | Requant rqs ->
+    let len = Array.length rqs in
+    if len <> 1 && len < rows then invalid_arg "Blocked.gemm_i8: too few requant entries";
+    Array.iter
+      (fun { Quant.qm; shift; zp = _ } ->
+        if qm < 0 || qm > 0x7FFFFFFF || shift < -62 || shift > 62 then
+          invalid_arg "Blocked.gemm_i8: requant multiplier outside the int32 fixed point")
+      rqs;
+    let triples = Array.map (fun { Quant.qm; shift; zp } -> [| qm; shift; zp |]) rqs in
+    Array.concat (Array.to_list triples), [||], [||]
+  | Dequant { scales; bias } ->
+    let len = Array.length scales in
+    if len <> 1 && len < rows then invalid_arg "Blocked.gemm_i8: too few dequant scales";
+    let bias = Option.value bias ~default:[||] in
+    if bias <> [||] && Array.length bias <> len then
+      invalid_arg "Blocked.gemm_i8: bias and scales differ in length";
+    [||], scales, bias
 
 (* Shared int8 GEMM skeleton.  C is OVERWRITTEN, not accumulated into:
-   packing is full-depth (one k-block), so every element's complete
-   int32 accumulator exists at write-back — exactly where requantization
-   must happen, and why no int32 intermediate is ever materialized.
-   [store i j acc] receives the zero-point-corrected accumulator. *)
-let gemm_i8_core ?(par = sequential) ?(tiles = default_tiles) ~za ~zb
-    ~(store : int -> int -> int -> unit) ~m ~n ~k ~(a : Tensor.i8buf) ~ao
-    ~(b : Tensor.i8buf) ~bo () =
+   every element's complete accumulator exists exactly once, at
+   write-back, where the epilogue consumes it.  [row0] is the epilogue
+   row of output row 0 (conv groups pass their first channel). *)
+let gemm_i8_gen kern ?(par = sequential) ?(tiles = default_tiles) ~za ~zb
+    ~epilogue ?(row0 = 0) ~m ~n ~k ~(a : Tensor.i8buf) ~ao ~(b : Tensor.i8buf) ~bo
+    ~(c : ('a, 'b, Bigarray.c_layout) BA1.t) ~co () =
   if k > max_i8_depth then
-    invalid_arg "Blocked.gemm_i8: depth exceeds 65536 (accumulator field width)";
+    invalid_arg "Blocked.gemm_i8: depth exceeds 65536 (int32 accumulator range)";
   if m > 0 && n > 0 then begin
-    if k <= 0 then
-      for i = 0 to m - 1 do
-        for j = 0 to n - 1 do
-          store i j 0
-        done
-      done
-    else begin
-      let { tm; tn; tk = _; kunroll = _ } = tiles in
-      let npairs = ceil_div n 2 in
-      let bp, bsum = pack_b_i8 b bo ~n ~k ~npairs in
-      let kzazb = k * za * zb in
-      let jpt = max 1 (tn / 2) in
-      let jt_count = ceil_div npairs jpt in
-      par.run (ceil_div m tm) (fun it ->
-          let i0 = it * tm in
-          let mc = min tm (m - i0) in
-          let msext = ceil_div mc 6 in
-          let abuf = Array.make (msext * k * 2) 0 in
-          let asum = Array.make (msext * 6) 0 in
-          pack_a_i8 a ao ~k ~i0 ~mc abuf asum;
-          (* Drained accumulators for one 6×2 micro-tile, laid out
-             [row*2 + col]. *)
-          let acc = Array.make 12 0 in
-          for jt = 0 to jt_count - 1 do
-            let jp_end = min npairs ((jt + 1) * jpt) in
-            for ip = 0 to msext - 1 do
-              let iabase = ip * k * 2 in
-              let i = i0 + (ip * 6) in
-              let li = ip * 6 in
-              let rows = min 6 (i0 + mc - i) in
-              (* [correct r raw bs] turns a raw field sum Σab for local
-                 row r into Σ(a-za)(b-zb) given the column term [bs]. *)
-              let correct r raw bs =
-                raw - (zb * Array.unsafe_get asum (li + r)) - bs + kzazb
-              in
-              for jp = jt * jpt to jp_end - 1 do
-                Array.fill acc 0 12 0;
-                iqtile abuf bp acc iabase (jp * k * 2) k;
-                let j = jp * 2 in
-                let wide = j + 1 < n in
-                let bs0 = za * Array.unsafe_get bsum j in
-                let bs1 = if wide then za * Array.unsafe_get bsum (j + 1) else 0 in
-                for r = 0 to rows - 1 do
-                  store (i + r) j (correct r acc.(r * 2) bs0);
-                  if wide then store (i + r) (j + 1) (correct r acc.((r * 2) + 1) bs1)
-                done
-              done
-            done
-          done)
-    end
+    check_i8 "A" a ao (m * k);
+    check_i8 "B" b bo (k * n);
+    if co < 0 || co + (m * n) > BA1.dim c then
+      invalid_arg "Blocked.gemm_i8: C window outside its buffer";
+    let rq, scales, bias = epilogue_tables ~rows:(row0 + m) epilogue in
+    let packed =
+      grown pack_key (BA1.create Bigarray.char Bigarray.c_layout) ((n * k * 2) + (n * 4))
+    in
+    i8_pack_b b bo n k packed;
+    let { tm; tn; tk = _; kunroll = _ } = tiles in
+    par.run (ceil_div m tm) (fun it ->
+        let i0 = it * tm in
+        let rows = min tm (m - i0) in
+        kern.itile a packed c rq scales bias [| ao; co; n; k; i0; rows; za; zb; tn; row0 |])
   end
 
-let gemm_i8 ?par ?tiles ~za ~zb ~epilogue ?(ep_off = 0) ~m ~n ~k ~a ~ao ~b ~bo
+let gemm_i8_with kern ?par ?tiles ~za ~zb ~epilogue ?row0 ~m ~n ~k ~a ~ao ~b ~bo
     ~(c : Tensor.i8buf) ~co () =
-  (* The int8 store wraps modulo 256; the clamp below makes the rails
-     authoritative even if an epilogue forgets its own. *)
-  let store i j acc =
-    let ci = co + (i * n) + j in
-    BA1.unsafe_set c ci (Quant.clamp_i8 (epilogue (ci - ep_off) acc))
-  in
-  gemm_i8_core ?par ?tiles ~za ~zb ~store ~m ~n ~k ~a ~ao ~b ~bo ()
+  (match epilogue with
+  | Requant _ -> ()
+  | Dequant _ -> invalid_arg "Blocked.gemm_i8: an int8 destination needs a Requant epilogue");
+  gemm_i8_gen kern ?par ?tiles ~za ~zb ~epilogue ?row0 ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()
 
-let gemm_i8_dequant ?par ?tiles ~za ~zb ~epilogue ?(ep_off = 0) ~m ~n ~k ~a ~ao
-    ~b ~bo ~(c : Tensor.fbuf) ~co () =
-  let store =
-    match c with
-    | Tensor.FB32 cb ->
-      fun i j acc ->
-        let ci = co + (i * n) + j in
-        BA1.unsafe_set cb ci (epilogue (ci - ep_off) acc)
-    | Tensor.FB64 cb ->
-      fun i j acc ->
-        let ci = co + (i * n) + j in
-        BA1.unsafe_set cb ci (epilogue (ci - ep_off) acc)
-  in
-  gemm_i8_core ?par ?tiles ~za ~zb ~store ~m ~n ~k ~a ~ao ~b ~bo ()
+let gemm_i8_dequant_with kern ?par ?tiles ~za ~zb ~epilogue ?row0 ~m ~n ~k ~a ~ao ~b ~bo
+    ~(c : Tensor.fbuf) ~co () =
+  (match epilogue with
+  | Dequant _ -> ()
+  | Requant _ -> invalid_arg "Blocked.gemm_i8_dequant: a float destination needs Dequant");
+  let run c = gemm_i8_gen kern ?par ?tiles ~za ~zb ~epilogue ?row0 ~m ~n ~k ~a ~ao ~b ~bo ~c ~co () in
+  match c with Tensor.FB32 c -> run c | Tensor.FB64 c -> run c
 
 (* Quantized im2col: the column matrix is int8 (the 4× footprint shrink
    is exactly where the conv path was bandwidth-bound) and padding taps
@@ -823,29 +396,37 @@ let conv2d_i8_gen ~zx ~stride ~pad ~dilation ~groups ~(x : Tensor.i8buf) ~xoff
   end;
   [ n; m; oh; ow ]
 
-let conv2d_i8_into ?par ?tiles ~zx ~zw ~epilogue ?(ep_off = 0) ~stride ~pad
-    ~dilation ~groups ~x ~xoff ~xdims ~(w : Tensor.i8buf) ~woff ~wdims
-    ~(c : Tensor.i8buf) ~co () =
+let conv2d_i8_into ?par ?tiles ~zx ~zw ~epilogue ~stride ~pad ~dilation ~groups ~x ~xoff
+    ~xdims ~(w : Tensor.i8buf) ~woff ~wdims ~(c : Tensor.i8buf) ~co () =
   conv2d_i8_gen ~zx ~stride ~pad ~dilation ~groups ~x ~xoff ~xdims ~wdims
     ~run_gemm:(fun ~ni ~g ~m ~mg ~ndim ~kdim ~col ->
-      gemm_i8 ?par ?tiles ~za:zw ~zb:zx ~epilogue ~ep_off ~m:mg ~n:ndim ~k:kdim
-        ~a:w
-        ~ao:(woff + (g * mg * kdim))
-        ~b:col ~bo:0 ~c
-        ~co:(co + (((ni * m) + (g * mg)) * ndim))
-        ())
-
-let conv2d_i8_dequant_into ?par ?tiles ~zx ~zw ~epilogue ?(ep_off = 0) ~stride
-    ~pad ~dilation ~groups ~x ~xoff ~xdims ~(w : Tensor.i8buf) ~woff ~wdims
-    ~(c : Tensor.fbuf) ~co () =
-  conv2d_i8_gen ~zx ~stride ~pad ~dilation ~groups ~x ~xoff ~xdims ~wdims
-    ~run_gemm:(fun ~ni ~g ~m ~mg ~ndim ~kdim ~col ->
-      gemm_i8_dequant ?par ?tiles ~za:zw ~zb:zx ~epilogue ~ep_off ~m:mg ~n:ndim
+      gemm_i8_with dispatched ?par ?tiles ~za:zw ~zb:zx ~epilogue ~row0:(g * mg) ~m:mg ~n:ndim
         ~k:kdim ~a:w
         ~ao:(woff + (g * mg * kdim))
         ~b:col ~bo:0 ~c
         ~co:(co + (((ni * m) + (g * mg)) * ndim))
         ())
+
+let conv2d_i8_dequant_into ?par ?tiles ~zx ~zw ~epilogue ~stride ~pad ~dilation ~groups
+    ~x ~xoff ~xdims ~(w : Tensor.i8buf) ~woff ~wdims ~(c : Tensor.fbuf) ~co () =
+  conv2d_i8_gen ~zx ~stride ~pad ~dilation ~groups ~x ~xoff ~xdims ~wdims
+    ~run_gemm:(fun ~ni ~g ~m ~mg ~ndim ~kdim ~col ->
+      gemm_i8_dequant_with dispatched ?par ?tiles ~za:zw ~zb:zx ~epilogue ~row0:(g * mg)
+        ~m:mg ~n:ndim ~k:kdim ~a:w
+        ~ao:(woff + (g * mg * kdim))
+        ~b:col ~bo:0 ~c
+        ~co:(co + (((ni * m) + (g * mg)) * ndim))
+        ())
+
+let gemm_i8 ?par ?tiles = gemm_i8_with dispatched ?par ?tiles ?row0:None
+let gemm_i8_dequant ?par ?tiles = gemm_i8_dequant_with dispatched ?par ?tiles ?row0:None
+
+module For_testing = struct
+  let gemm_portable ?par = gemm_with portable ?par
+  let gemm_i8_portable ?par ?tiles = gemm_i8_with portable ?par ?tiles ?row0:None
+  let gemm_i8_dequant_portable ?par ?tiles =
+    gemm_i8_dequant_with portable ?par ?tiles ?row0:None
+end
 
 let conv2d_im2col ?par ?tiles ?epilogue ~stride ~pad ~dilation ~groups x w bias =
   let dx = Tensor.dims_arr x and dw = Tensor.dims_arr w in

@@ -5,14 +5,18 @@
     module provides the optimized variants the autotuner's tile/thread
     choices actually steer:
 
-    - {!gemm} packs A and B into tile-local panels (so the inner loop
-      touches contiguous memory), computes 4×2 register micro-tiles with a
-      tail-recursive kernel whose accumulators live in FP registers, and
-      splits the M dimension into macro row-tiles that a parallel runner
-      can execute concurrently;
+    - {!gemm} splits the M dimension into macro row-tiles that a parallel
+      runner can execute concurrently; each tile runs a C kernel
+      ([gemm_stubs.c]) that packs the tile's rows of A into double-precision
+      row quads and keeps a 4×16 register micro-tile of double chains over
+      the full depth, reading B straight from its row-major storage;
     - {!conv2d_im2col} lowers convolution (grouped, strided, dilated,
       padded) onto that GEMM by materializing the im2col column matrix per
       (image, group).
+
+    The C kernels are built once per instruction set (x86-64-v4, x86-64-v3
+    and baseline) from one source; the loader picks the widest one the CPU
+    runs, and {!isa} names it.  No option, variable or setting chooses.
 
     The module is deliberately runtime-agnostic: parallelism arrives
     through the {!par} record so the tensor library does not depend on the
@@ -26,12 +30,19 @@ val sequential : par
 
 type tiles = {
   tm : int;  (** macro row-tile height (parallel work unit) *)
-  tn : int;  (** column-tile width *)
-  tk : int;  (** depth of one packed panel *)
-  kunroll : int;  (** ≥4 (resp. ≥2) selects the unrolled-by-4 (by-2) micro-kernel *)
+  tn : int;  (** column-block width (rounded up to whole micro-tiles) *)
+  tk : int;
+  kunroll : int;
+      (** [tk] and [kunroll] are kept so autotuner configurations and
+          [Tune_cache] lines keep their format; they no longer select a
+          kernel or a panel depth. *)
 }
 
 val default_tiles : tiles
+
+val isa : unit -> string
+(** The instruction-set build of the C tile kernels this process runs:
+    ["x86-64-v4"] (AVX-512), ["x86-64-v3"] (AVX2+FMA) or ["portable"]. *)
 
 val tiles_of : tile_m:int -> tile_n:int -> tile_k:int -> unroll:int -> tiles
 (** Sanitize an autotuner configuration into usable tile extents (clamped
@@ -48,7 +59,7 @@ val gemm :
     callers zero- or bias-initialize it.
 
     [epilogue ci v] rewrites the finished value [v] of element [ci] during
-    the final k-block's micro-tile write-back — fused-group execution uses
+    the tile's write-back — fused-group execution uses
     it to apply bias/activation chains without a second pass over [C].  It
     is called exactly once per element, only after the full depth [k] has
     been accumulated.  [ci] is the element's flat index into [c] minus
@@ -69,44 +80,50 @@ val conv2d_im2col :
 
 (** {1 Int8 path}
 
-    Quantized GEMM/conv over packed int8 panels with the requantization
-    (or dequantization) epilogue fused into the micro-tile write-back.
-    Unlike the float {!gemm}, the destination is {e overwritten}:
-    packing is full-depth, so the complete int32 accumulator for every
-    element exists exactly once — at write-back, where the epilogue
+    Quantized GEMM/conv with the requantization (or dequantization)
+    epilogue applied by the C kernel at write-back.  Unlike the float
+    {!gemm}, the destination is {e overwritten}: every element's complete
+    accumulator exists exactly once, at write-back, where the epilogue
     consumes it.  No int32 intermediate is ever materialized.
 
-    The A panel packs two rows per native word (one multiply computes
-    two multiply-accumulates — the reason the scalar int8 kernel beats
-    the f32 one); zero points are handled by the row/column-sum
-    correction [Σ(a-za)(b-zb) = Σab − zb·Σa − za·Σb + k·za·zb], so the
-    epilogue always sees the exact zero-point-corrected accumulator.
-    The depth is capped at 65536 so the packed accumulator fields cannot
-    overflow ([Invalid_argument] beyond). *)
+    Both operands are widened to int16 (B transposed once per call) and
+    every output is an exact int32 dot product; zero points are handled
+    by the row/column-sum correction [Σ(a-za)(b-zb) = Σab − zb·Σa − za·Σb
+    + k·za·zb], so the epilogue always sees the exact zero-point-corrected
+    accumulator.  The depth is capped at {!max_i8_depth} so the int32 sums
+    cannot overflow ([Invalid_argument] beyond). *)
+
+val max_i8_depth : int
+
+(** The write-back applied to each corrected accumulator [acc] of output
+    row [i].  An array of length 1 serves every row; otherwise entry [i]
+    serves row [i] (for convolutions, output channel [i]). *)
+type i8_epilogue =
+  | Requant of Quant.requant array
+      (** {!Quant.requantize_one}: gemmlowp fixed-point scale, output
+          zero point, clamp to [[-128, 127]].  Multipliers must lie in
+          the int32 fixed-point range ([qm] in [[0, 2^31)], [|shift| ≤ 62]). *)
+  | Dequant of { scales : float array; bias : float array option }
+      (** [float acc *. scales.(i)], then [+. bias.(i)] when present, in
+          double, rounded once by the float store. *)
 
 val gemm_i8 :
-  ?par:par -> ?tiles:tiles -> za:int -> zb:int ->
-  epilogue:(int -> int -> int) -> ?ep_off:int -> m:int -> n:int -> k:int ->
-  a:Tensor.i8buf -> ao:int -> b:Tensor.i8buf -> bo:int ->
+  ?par:par -> ?tiles:tiles -> za:int -> zb:int -> epilogue:i8_epilogue ->
+  m:int -> n:int -> k:int -> a:Tensor.i8buf -> ao:int -> b:Tensor.i8buf -> bo:int ->
   c:Tensor.i8buf -> co:int -> unit -> unit
-(** [epilogue ei acc] maps element [ei]'s corrected int32 accumulator to
-    its int8 output value (typically {!Quant.requantize_one}); the store
-    clamps to [[-128, 127]] regardless, so the rails are authoritative.
-    [ei] is destination-relative, as in {!gemm}. *)
+(** Row-major [C(m×n) := epilogue (Σ (a-za)(b-zb))] over int8 operands.
+    The epilogue must be [Requant]. *)
 
 val gemm_i8_dequant :
-  ?par:par -> ?tiles:tiles -> za:int -> zb:int ->
-  epilogue:(int -> int -> float) -> ?ep_off:int -> m:int -> n:int -> k:int ->
-  a:Tensor.i8buf -> ao:int -> b:Tensor.i8buf -> bo:int ->
+  ?par:par -> ?tiles:tiles -> za:int -> zb:int -> epilogue:i8_epilogue ->
+  m:int -> n:int -> k:int -> a:Tensor.i8buf -> ao:int -> b:Tensor.i8buf -> bo:int ->
   c:Tensor.fbuf -> co:int -> unit -> unit
-(** Same kernel, float write-back: the epilogue dequantizes the
-    accumulator (scale, bias, activation) straight into a float
-    destination — the dynamic-quantization form the executor uses so
-    quantized nodes compose with the float arena machinery. *)
+(** Same kernel, float write-back with a [Dequant] epilogue — the
+    dynamic-quantization form the executor uses so quantized nodes
+    compose with the float arena machinery. *)
 
 val conv2d_i8_into :
-  ?par:par -> ?tiles:tiles -> zx:int -> zw:int ->
-  epilogue:(int -> int -> int) -> ?ep_off:int ->
+  ?par:par -> ?tiles:tiles -> zx:int -> zw:int -> epilogue:i8_epilogue ->
   stride:int * int -> pad:int * int * int * int -> dilation:int * int ->
   groups:int -> x:Tensor.i8buf -> xoff:int -> xdims:int array ->
   w:Tensor.i8buf -> woff:int -> wdims:int array ->
@@ -114,17 +131,17 @@ val conv2d_i8_into :
 (** Quantized im2col convolution (NCHW/OIHW, grouped/strided/dilated/
     padded like {!conv2d_im2col_into}), int8 destination.  [zx]/[zw] are
     the input/weight zero points; padding taps hold [zx] so they
-    dequantize to zero.  Returns the output dims [N;M;Oh;Ow]. *)
+    dequantize to zero.  Epilogue rows are output channels.  Returns the
+    output dims [N;M;Oh;Ow]. *)
 
 val conv2d_i8_dequant_into :
-  ?par:par -> ?tiles:tiles -> zx:int -> zw:int ->
-  epilogue:(int -> int -> float) -> ?ep_off:int ->
+  ?par:par -> ?tiles:tiles -> zx:int -> zw:int -> epilogue:i8_epilogue ->
   stride:int * int -> pad:int * int * int * int -> dilation:int * int ->
   groups:int -> x:Tensor.i8buf -> xoff:int -> xdims:int array ->
   w:Tensor.i8buf -> woff:int -> wdims:int array ->
   c:Tensor.fbuf -> co:int -> unit -> int list
-(** Float write-back variant of {!conv2d_i8_into}: the epilogue folds
-    dequantization and the (float) bias into the store. *)
+(** Float write-back variant of {!conv2d_i8_into}: a [Dequant] epilogue
+    folds the per-channel scale and the (float) bias into the store. *)
 
 val conv2d_im2col_into :
   ?par:par -> ?tiles:tiles -> ?epilogue:(int -> float -> float) ->
@@ -136,3 +153,25 @@ val conv2d_im2col_into :
     element offset [co] (bias- or zero-initialized first) and its dims are
     returned.  [epilogue] indices are flat offsets into [c] minus [ep_off]
     (see {!gemm}) — pass [~ep_off:co] for output-relative coordinates. *)
+
+(** The same drivers over the portable (baseline instruction set) build
+    of the C kernels, compiled from the same source as the dispatched
+    clones.  For tests that hold the two bit-identical; nothing else
+    should call these. *)
+module For_testing : sig
+  val gemm_portable :
+    ?par:par -> ?tiles:tiles -> ?epilogue:(int -> float -> float) ->
+    ?ep_off:int -> m:int -> n:int ->
+    k:int -> a:Tensor.fbuf -> ao:int -> b:Tensor.fbuf -> bo:int ->
+    c:Tensor.fbuf -> co:int -> unit -> unit
+
+  val gemm_i8_portable :
+    ?par:par -> ?tiles:tiles -> za:int -> zb:int -> epilogue:i8_epilogue ->
+    m:int -> n:int -> k:int -> a:Tensor.i8buf -> ao:int -> b:Tensor.i8buf -> bo:int ->
+    c:Tensor.i8buf -> co:int -> unit -> unit
+
+  val gemm_i8_dequant_portable :
+    ?par:par -> ?tiles:tiles -> za:int -> zb:int -> epilogue:i8_epilogue ->
+    m:int -> n:int -> k:int -> a:Tensor.i8buf -> ao:int -> b:Tensor.i8buf -> bo:int ->
+    c:Tensor.fbuf -> co:int -> unit -> unit
+end

@@ -1,0 +1,590 @@
+/* SIMD tile kernels behind Blocked.gemm and the int8 GEMM.
+
+   One source, several instruction sets: the hot drivers are written once
+   with GCC generic vector types and compiled as target clones
+   (x86-64-v4 = AVX-512, x86-64-v3 = AVX2+FMA, and the baseline
+   "default"), so the dynamic loader picks the widest body the CPU runs.
+   The same bodies are also compiled once more without a target, as the
+   "portable" entry points the tests drive directly; nothing at run time
+   chooses between the two.
+
+   Float tile (numerics contract, DESIGN.md §14).  Every output element is
+   one double-precision chain: start at 0.0, add a[i,p]*b[p,j] in
+   ascending p, add the chain to C, round once at the store.  The file is
+   built with -ffp-contract=off, so the compiler may not fuse a multiply
+   into an add.  The one exception is the body used when A and B are both
+   f32: the product of two f32 values has at most 48 significant bits, so
+   it is exact in double, and fma(a, b, acc) rounds exactly like
+   acc + a*b.  That body is compiled with fp-contract=fast.
+
+   Int8 tile.  Operands are widened to int16 and B is transposed once per
+   call, so the depth loop is a plain dot product that the vectorizer
+   turns into pmaddwd; sums are exact in int32 for depths up to 65536.
+   The zero-point correction and the requantize / dequantize epilogue run
+   at write-back in int64 / double. */
+
+#define CAML_NAME_SPACE
+#include <caml/alloc.h>
+#include <caml/bigarray.h>
+#include <caml/fail.h>
+#include <caml/memory.h>
+#include <caml/mlvalues.h>
+#include <caml/signals.h>
+#include <pthread.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* Clones need GCC 12 or later (ISA-level names in target_clones and
+   __builtin_cpu_supports); any other compiler builds the portable body
+   alone. */
+#if defined(__x86_64__) && !defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 12
+#define SOD2_CLONES \
+  __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#define SOD2_HAVE_CLONES 1
+#else
+#define SOD2_CLONES
+#define SOD2_HAVE_CLONES 0
+#endif
+
+#define INLINE static inline __attribute__((always_inline))
+
+static long lmin(long a, long b) { return a < b ? a : b; }
+
+/* ------------------------------------------------------------------ */
+/* Per-thread scratch                                                  */
+
+/* Packed operand panels live in per-thread buffers that only grow, so a
+   steady stream of GEMMs allocates nothing.  Every OCaml domain is a
+   system thread; the buffers are freed when it exits. */
+struct scratch {
+  void *p;
+  size_t cap;
+};
+enum { SCR_A, SCR_TAIL, SCR_COUNT };
+
+static pthread_key_t scratch_key;
+static pthread_once_t scratch_once = PTHREAD_ONCE_INIT;
+
+static void scratch_free(void *v)
+{
+  struct scratch *s = v;
+  for (int i = 0; i < SCR_COUNT; i++) free(s[i].p);
+  free(s);
+}
+
+static void scratch_make_key(void) { pthread_key_create(&scratch_key, scratch_free); }
+
+/* A 64-byte-aligned buffer of at least [bytes]; raises Out_of_memory, so
+   call it before releasing the runtime lock. */
+static void *scratch(int slot, size_t bytes)
+{
+  pthread_once(&scratch_once, scratch_make_key);
+  struct scratch *s = pthread_getspecific(scratch_key);
+  if (s == NULL) {
+    s = calloc(SCR_COUNT, sizeof *s);
+    if (s == NULL || pthread_setspecific(scratch_key, s) != 0) caml_raise_out_of_memory();
+  }
+  struct scratch *e = &s[slot];
+  if (bytes > e->cap) {
+    size_t cap = (bytes + 4095) & ~(size_t)4095;
+    free(e->p);
+    e->p = aligned_alloc(64, cap);
+    e->cap = e->p ? cap : 0;
+    if (e->p == NULL) caml_raise_out_of_memory();
+  }
+  return e->p;
+}
+
+/* ------------------------------------------------------------------ */
+/* Float tile                                                          */
+
+typedef double v8d __attribute__((vector_size(64)));
+typedef float v8f __attribute__((vector_size(32)));
+
+struct fjob {
+  const double *ap;   /* A quads: element (q, p, r) at [(q*k + p)*4 + r] */
+  const void *b;      /* B at its first element, row stride n */
+  const void *btail;  /* last partial column strip of B, k x 16, or NULL */
+  long jtail;         /* first column of that strip */
+  void *c;            /* C at element 0 */
+  int c_f32;
+  double *ep;         /* non-NULL: write c + acc here instead of C */
+  long ep_ld;
+  long co, n, k, i0, rows, j0, j1, tn;
+};
+
+/* One f32 or f64 store of [c + acc] (or the double into the epilogue
+   buffer); [ci] is C's flat index. */
+INLINE void fstore(const struct fjob *J, long ci, long ei, double acc)
+{
+  if (J->ep) {
+    double cv = J->c_f32 ? (double)((const float *)J->c)[ci] : ((const double *)J->c)[ci];
+    J->ep[ei] = cv + acc;
+  } else if (J->c_f32) {
+    float *c = J->c;
+    c[ci] = (float)((double)c[ci] + acc);
+  } else {
+    double *c = J->c;
+    c[ci] = c[ci] + acc;
+  }
+}
+
+/* [FTILE(NAME, BT, VB)] defines the tile driver for B elements of type
+   BT (VB = 8 of them).  The 4x16 micro-tile keeps its 64 chains in eight
+   8-lane double vectors for the whole depth; only the write-back touches
+   C.  Column blocks of width tn keep a B strip cache-resident while every
+   row quad of the tile passes over it. */
+#define FTILE(NAME, BT, VB)                                                      \
+  INLINE void NAME##_micro(const double *ap, const BT *bp, long ldb, long k,     \
+                           v8d acc[8])                                           \
+  {                                                                              \
+    v8d c0 = {0}, c1 = {0}, c2 = {0}, c3 = {0};                                  \
+    v8d c4 = {0}, c5 = {0}, c6 = {0}, c7 = {0};                                  \
+    for (long p = 0; p < k; p++) {                                               \
+      VB l, h;                                                                   \
+      memcpy(&l, bp + p * ldb, sizeof l);                                        \
+      memcpy(&h, bp + p * ldb + 8, sizeof h);                                    \
+      v8d bl = __builtin_convertvector(l, v8d);                                  \
+      v8d bh = __builtin_convertvector(h, v8d);                                  \
+      const double *a = ap + p * 4;                                              \
+      c0 += a[0] * bl;                                                           \
+      c1 += a[0] * bh;                                                           \
+      c2 += a[1] * bl;                                                           \
+      c3 += a[1] * bh;                                                           \
+      c4 += a[2] * bl;                                                           \
+      c5 += a[2] * bh;                                                           \
+      c6 += a[3] * bl;                                                           \
+      c7 += a[3] * bh;                                                           \
+    }                                                                            \
+    acc[0] = c0; acc[1] = c1; acc[2] = c2; acc[3] = c3;                          \
+    acc[4] = c4; acc[5] = c5; acc[6] = c6; acc[7] = c7;                          \
+  }                                                                              \
+  INLINE void NAME##_body(const struct fjob *J)                                  \
+  {                                                                              \
+    const BT *b = J->b;                                                          \
+    long nq = (J->rows + 3) / 4;                                                 \
+    for (long jb = J->j0; jb < J->j1; jb += J->tn) {                             \
+      long je = lmin(jb + J->tn, J->j1);                                         \
+      for (long q = 0; q < nq; q++) {                                            \
+        const double *ap = J->ap + q * J->k * 4;                                 \
+        long rn = lmin(4, J->rows - q * 4);                                      \
+        long i = J->i0 + q * 4;                                                  \
+        for (long j = jb; j < je; j += 16) {                                     \
+          long w = lmin(16, je - j);                                             \
+          v8d acc[8];                                                            \
+          if (j >= J->jtail && J->btail)                                         \
+            NAME##_micro(ap, (const BT *)J->btail, 16, J->k, acc);               \
+          else                                                                   \
+            NAME##_micro(ap, b + j, J->n, J->k, acc);                            \
+          long ci = J->co + i * J->n + j;                                        \
+          if (w == 16 && !J->ep) {                                               \
+            for (long r = 0; r < rn; r++, ci += J->n) {                          \
+              if (J->c_f32) {                                                    \
+                float *c = (float *)J->c + ci;                                   \
+                v8f x0, x1;                                                      \
+                memcpy(&x0, c, sizeof x0);                                       \
+                memcpy(&x1, c + 8, sizeof x1);                                   \
+                x0 = __builtin_convertvector(                                    \
+                    __builtin_convertvector(x0, v8d) + acc[2 * r], v8f);         \
+                x1 = __builtin_convertvector(                                    \
+                    __builtin_convertvector(x1, v8d) + acc[2 * r + 1], v8f);     \
+                memcpy(c, &x0, sizeof x0);                                       \
+                memcpy(c + 8, &x1, sizeof x1);                                   \
+              } else {                                                           \
+                double *c = (double *)J->c + ci;                                 \
+                v8d y0, y1;                                                      \
+                memcpy(&y0, c, sizeof y0);                                       \
+                memcpy(&y1, c + 8, sizeof y1);                                   \
+                y0 += acc[2 * r];                                                \
+                y1 += acc[2 * r + 1];                                            \
+                memcpy(c, &y0, sizeof y0);                                       \
+                memcpy(c + 8, &y1, sizeof y1);                                   \
+              }                                                                  \
+            }                                                                    \
+          } else {                                                               \
+            double t[64];                                                        \
+            memcpy(t, acc, sizeof t);                                            \
+            long ei = (i - J->i0) * J->ep_ld + (j - J->j0);                      \
+            for (long r = 0; r < rn; r++, ci += J->n, ei += J->ep_ld)            \
+              for (long jj = 0; jj < w; jj++)                                    \
+                fstore(J, ci + jj, ei + jj, t[r * 16 + jj]);                     \
+          }                                                                      \
+        }                                                                        \
+      }                                                                          \
+    }                                                                            \
+  }                                                                              \
+  SOD2_CLONES void NAME(const struct fjob *J) { NAME##_body(J); }                \
+  void NAME##_portable(const struct fjob *J) { NAME##_body(J); }
+
+/* A f64 or mixed kinds: no contraction (-ffp-contract=off). */
+FTILE(ftile_b32, float, v8f)
+FTILE(ftile_b64, double, v8d)
+
+/* A and B both f32: products are exact, so contraction cannot change a
+   single bit and the FMA clones may use it. */
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=fast")
+FTILE(ftile_f32, float, v8f)
+#pragma GCC pop_options
+
+typedef void (*ftile_fn)(const struct fjob *);
+
+static int ba_f32(value ba)
+{
+  return (Caml_ba_array_val(ba)->flags & CAML_BA_KIND_MASK) == CAML_BA_FLOAT32;
+}
+
+/* Pack rows [i0, i0+rows) of row-major A (f32 when [a32], else f64; depth
+   k) into zero-padded row quads of doubles. */
+static void pack_a(const void *a, int a32, long k, long i0, long rows, double *ap)
+{
+  long nq = (rows + 3) / 4;
+  memset(ap + (rows / 4) * 4 * k, 0, (size_t)(nq - rows / 4) * 4 * k * sizeof(double));
+  for (long r = 0; r < rows; r++) {
+    double *dst = ap + (r / 4) * 4 * k + (r % 4);
+    if (a32) {
+      const float *src = (const float *)a + (i0 + r) * k;
+      for (long p = 0; p < k; p++) dst[p * 4] = src[p];
+    } else {
+      const double *src = (const double *)a + (i0 + r) * k;
+      for (long p = 0; p < k; p++) dst[p * 4] = src[p];
+    }
+  }
+}
+
+/* Copy columns [j, j+w) of B (elements of [esize] bytes, row stride n)
+   into the zero-padded k x 16 strip [t]. */
+static void pack_tail(const char *b, size_t esize, long n, long k, long j, long w, char *t)
+{
+  memset(t, 0, (size_t)k * 16 * esize);
+  for (long p = 0; p < k; p++)
+    memcpy(t + p * 16 * esize, b + (p * n + j) * esize, (size_t)w * esize);
+}
+
+/* [gemm_f a b c ep params portable]: one tile of Blocked.gemm.  [a], [b],
+   [c] are Tensor.fbuf values (FB32/FB64 of a Bigarray); [ep] is a float64
+   Bigarray used only when params.(10) <> 0.  params = [| ao; bo; co; n;
+   k; i0; rows; j0; j1; tn; use_ep; ep_ld |].  The caller has checked the
+   bounds.  Everything read from OCaml values is read before the runtime
+   lock is released; Bigarray data never moves. */
+static value gemm_f(value va, value vb, value vc, value vep, value vp, int portable)
+{
+  CAMLparam5(va, vb, vc, vep, vp);
+  value a = Field(va, 0), b = Field(vb, 0), c = Field(vc, 0);
+  long ao = Long_val(Field(vp, 0)), bo = Long_val(Field(vp, 1));
+  struct fjob J;
+  J.co = Long_val(Field(vp, 2));
+  J.n = Long_val(Field(vp, 3));
+  J.k = Long_val(Field(vp, 4));
+  J.i0 = Long_val(Field(vp, 5));
+  J.rows = Long_val(Field(vp, 6));
+  J.j0 = Long_val(Field(vp, 7));
+  J.j1 = Long_val(Field(vp, 8));
+  J.tn = (Long_val(Field(vp, 9)) + 15) / 16 * 16;
+  if (J.tn < 16) J.tn = 16;
+  J.ep = Long_val(Field(vp, 10)) ? (double *)Caml_ba_data_val(vep) : NULL;
+  J.ep_ld = Long_val(Field(vp, 11));
+  J.c = Caml_ba_data_val(c);
+  J.c_f32 = ba_f32(c);
+  int a32 = ba_f32(a), b32 = ba_f32(b);
+  size_t asize = a32 ? sizeof(float) : sizeof(double);
+  size_t bsize = b32 ? sizeof(float) : sizeof(double);
+  const char *ad = (const char *)Caml_ba_data_val(a) + ao * asize;
+  J.b = (const char *)Caml_ba_data_val(b) + bo * bsize;
+  long nq = (J.rows + 3) / 4;
+  double *ap = scratch(SCR_A, (size_t)nq * 4 * J.k * sizeof(double));
+  J.ap = ap;
+  long wtail = (J.j1 - J.j0) % 16;
+  J.jtail = J.j1 - wtail;
+  char *tail = wtail ? scratch(SCR_TAIL, (size_t)J.k * 16 * bsize) : NULL;
+  J.btail = tail;
+  ftile_fn f;
+  if (a32 && b32) f = portable ? ftile_f32_portable : ftile_f32;
+  else if (b32) f = portable ? ftile_b32_portable : ftile_b32;
+  else f = portable ? ftile_b64_portable : ftile_b64;
+  caml_enter_blocking_section();
+  pack_a(ad, a32, J.k, J.i0, J.rows, ap);
+  if (tail) pack_tail(J.b, bsize, J.n, J.k, J.jtail, wtail, tail);
+  f(&J);
+  caml_leave_blocking_section();
+  CAMLreturn(Val_unit);
+}
+
+value sod2_gemm_f(value a, value b, value c, value ep, value p)
+{
+  return gemm_f(a, b, c, ep, p, 0);
+}
+value sod2_gemm_f_portable(value a, value b, value c, value ep, value p)
+{
+  return gemm_f(a, b, c, ep, p, 1);
+}
+
+/* ------------------------------------------------------------------ */
+/* Int8 tile                                                           */
+
+enum { DST_I8, DST_F32, DST_F64 };
+
+struct ijob {
+  const int16_t *at;  /* A rows, widened: row r at [r*k] */
+  const int32_t *asum;
+  const int16_t *bt;  /* B transposed, widened: column j at [j*k] */
+  const int32_t *bsum;
+  long n, k, i0, rows, tn;
+  int64_t za, zb;
+  void *c;
+  long co;
+  int dst;
+  long row0;          /* epilogue row of the tile's first row */
+  long ep_rows;       /* 1: one epilogue for every row */
+  const int64_t *rq;  /* requantize: (qm, shift, zp) per epilogue row */
+  const double *scale, *bias; /* dequantize; bias may be NULL */
+};
+
+#pragma GCC push_options
+#pragma GCC optimize("O3")
+/* Write back one row of a column block: [raw] holds the block's w raw
+   dot products.  Each accumulator gets the zero-point correction, then
+   the epilogue.  The requantization is the gemmlowp fixed-point
+   pipeline of Quant.requantize_one on int64, branch-free so the loop
+   vectorizes:
+   - [acc lsl left] keeps the low 63 bits, like OCaml's 63-bit ints;
+   - saturate to int32, then SaturatingRoundingDoublingHighMul by qm
+     (its int32_min * int32_min corner cannot occur: qm >= 0);
+   - RoundingDivideByPOT by [right], add the zero point, clamp. */
+INLINE void irow_store(const struct ijob *J, long i, long j0, long w, const int32_t *raw)
+{
+  long er = J->ep_rows == 1 ? 0 : J->row0 + J->i0 + i;
+  long ci = J->co + (J->i0 + i) * J->n + j0;
+  int64_t rowterm = J->k * J->za * J->zb - J->zb * J->asum[i];
+  int64_t za = J->za;
+  const int32_t *bs = J->bsum + j0;
+  if (J->dst == DST_I8) {
+    int64_t qm = J->rq[3 * er], shift = J->rq[3 * er + 1], zp = J->rq[3 * er + 2];
+    int64_t left = shift > 0 ? shift : 0, right = shift > 0 ? 0 : -shift;
+    int64_t mask = (INT64_C(1) << right) - 1;
+    int8_t *c = (int8_t *)J->c + ci;
+    for (long t = 0; t < w; t++) {
+      int64_t acc = raw[t] + rowterm - za * bs[t];
+      int64_t x = (int64_t)(((uint64_t)acc << left) << 1) >> 1;
+      x = x > INT32_MAX ? INT32_MAX : x < INT32_MIN ? INT32_MIN : x;
+      int64_t ab = x * qm;
+      int64_t nudge = ab >= 0 ? (INT64_C(1) << 30) : 1 - (INT64_C(1) << 30);
+      int64_t hi = (ab + nudge) / (INT64_C(1) << 31);
+      int64_t rem = hi & mask, thr = (mask >> 1) + (hi < 0 ? 1 : 0);
+      int64_t v = (hi >> right) + (rem > thr ? 1 : 0) + zp;
+      c[t] = (int8_t)(v > 127 ? 127 : v < -128 ? -128 : v);
+    }
+  } else {
+    double scale = J->scale[er], bias = J->bias ? J->bias[er] : 0.0;
+    int has_bias = J->bias != NULL;
+    double v[256];
+    for (long t = 0; t < w; t++) v[t] = (double)(raw[t] + rowterm - za * bs[t]) * scale;
+    if (has_bias)
+      for (long t = 0; t < w; t++) v[t] = v[t] + bias;
+    if (J->dst == DST_F32) {
+      float *c = (float *)J->c + ci;
+      for (long t = 0; t < w; t++) c[t] = (float)v[t];
+    } else {
+      double *c = (double *)J->c + ci;
+      for (long t = 0; t < w; t++) c[t] = v[t];
+    }
+  }
+}
+
+/* 16 exact dot products of four A rows against four B columns; the
+   vectorizer turns each into pmaddwd + add over 16/32 depth steps. */
+INLINE void idot4x4(const int16_t *restrict a0, const int16_t *restrict a1,
+                    const int16_t *restrict a2, const int16_t *restrict a3,
+                    const int16_t *restrict b0, const int16_t *restrict b1,
+                    const int16_t *restrict b2, const int16_t *restrict b3, long k,
+                    int32_t *restrict s)
+{
+  int32_t s00 = 0, s01 = 0, s02 = 0, s03 = 0, s10 = 0, s11 = 0, s12 = 0, s13 = 0;
+  int32_t s20 = 0, s21 = 0, s22 = 0, s23 = 0, s30 = 0, s31 = 0, s32 = 0, s33 = 0;
+  for (long p = 0; p < k; p++) {
+    int32_t x0 = a0[p], x1 = a1[p], x2 = a2[p], x3 = a3[p];
+    int32_t y0 = b0[p], y1 = b1[p], y2 = b2[p], y3 = b3[p];
+    s00 += x0 * y0; s01 += x0 * y1; s02 += x0 * y2; s03 += x0 * y3;
+    s10 += x1 * y0; s11 += x1 * y1; s12 += x1 * y2; s13 += x1 * y3;
+    s20 += x2 * y0; s21 += x2 * y1; s22 += x2 * y2; s23 += x2 * y3;
+    s30 += x3 * y0; s31 += x3 * y1; s32 += x3 * y2; s33 += x3 * y3;
+  }
+  s[0] = s00; s[1] = s01; s[2] = s02; s[3] = s03;
+  s[4] = s10; s[5] = s11; s[6] = s12; s[7] = s13;
+  s[8] = s20; s[9] = s21; s[10] = s22; s[11] = s23;
+  s[12] = s30; s[13] = s31; s[14] = s32; s[15] = s33;
+}
+
+/* Column blocks of at most ITN columns: the raw sums of one row quad
+   land in a small buffer, then each valid row is written back in one
+   pass.  Edge blocks reuse the last valid row / column pointer and store
+   only the valid results. */
+#define ITN 256
+INLINE void itile_body(const struct ijob *J)
+{
+  long k = J->k, tn = lmin(ITN, (J->tn + 3) / 4 * 4);
+  int32_t raw[4][ITN];
+  for (long jb = 0; jb < J->n; jb += tn) {
+    long je = lmin(jb + tn, J->n);
+    for (long i = 0; i < J->rows; i += 4) {
+      const int16_t *a[4];
+      for (int r = 0; r < 4; r++) a[r] = J->at + lmin(i + r, J->rows - 1) * k;
+      for (long j = jb; j < je; j += 4) {
+        const int16_t *b[4];
+        for (int c = 0; c < 4; c++) b[c] = J->bt + lmin(j + c, J->n - 1) * k;
+        int32_t s[16];
+        idot4x4(a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3], k, s);
+        for (int r = 0; r < 4; r++)
+          for (int c = 0; c < 4; c++) raw[r][j - jb + c] = s[r * 4 + c];
+      }
+      for (long r = 0; r < lmin(4, J->rows - i); r++) irow_store(J, i + r, jb, je - jb, raw[r]);
+    }
+  }
+}
+
+SOD2_CLONES static void itile(const struct ijob *J) { itile_body(J); }
+static void itile_portable(const struct ijob *J) { itile_body(J); }
+#pragma GCC pop_options
+
+/* Widen rows [i0, i0+rows) of A and collect their sums. */
+static void pack_a_i8(const int8_t *a, long k, long i0, long rows, int16_t *at, int32_t *asum)
+{
+  for (long r = 0; r < rows; r++) {
+    const int8_t *src = a + (i0 + r) * k;
+    int16_t *dst = at + r * k;
+    int32_t s = 0;
+    for (long p = 0; p < k; p++) {
+      dst[p] = src[p];
+      s += src[p];
+    }
+    asum[r] = s;
+  }
+}
+
+/* [i8_pack_b b bo n k dst]: transpose row-major B (k x n int8 at element
+   offset bo) into int16 columns at the head of the byte buffer [dst],
+   followed by the n int32 column sums. */
+value sod2_i8_pack_b(value vb, value vbo, value vn, value vk, value vdst)
+{
+  CAMLparam5(vb, vbo, vn, vk, vdst);
+  const int8_t *b = (const int8_t *)Caml_ba_data_val(vb) + Long_val(vbo);
+  long n = Long_val(vn), k = Long_val(vk);
+  int16_t *bt = Caml_ba_data_val(vdst);
+  int32_t *bsum = (int32_t *)(bt + n * k);
+  caml_enter_blocking_section();
+  for (long j0 = 0; j0 < n; j0 += 64)
+    for (long p0 = 0; p0 < k; p0 += 64) {
+      long je = lmin(j0 + 64, n), pe = lmin(p0 + 64, k);
+      for (long p = p0; p < pe; p++)
+        for (long j = j0; j < je; j++) bt[j * k + p] = b[p * n + j];
+    }
+  for (long j = 0; j < n; j++) {
+    int32_t s = 0;
+    for (long p = 0; p < k; p++) s += bt[j * k + p];
+    bsum[j] = s;
+  }
+  caml_leave_blocking_section();
+  CAMLreturn(Val_unit);
+}
+
+/* [i8_tile a packed c rq scale bias params]: rows [i0, i0+rows) of the
+   int8 GEMM.  [c] is an int8 Bigarray (requantize with [rq], flattened
+   (qm, shift, zp) triples) or a float Bigarray (dequantize with [scale]
+   and, when non-empty, [bias]).  params = [| ao; co; n; k; i0; rows; za;
+   zb; tn; row0 |]. */
+static value i8_tile(value va, value vpk, value vc, value vrq, value vscale, value vbias,
+                     value vp, int portable)
+{
+  CAMLparam5(va, vpk, vc, vrq, vscale);
+  CAMLxparam2(vbias, vp);
+  struct ijob J;
+  long ao = Long_val(Field(vp, 0));
+  J.co = Long_val(Field(vp, 1));
+  J.n = Long_val(Field(vp, 2));
+  J.k = Long_val(Field(vp, 3));
+  J.i0 = Long_val(Field(vp, 4));
+  J.rows = Long_val(Field(vp, 5));
+  J.za = Long_val(Field(vp, 6));
+  J.zb = Long_val(Field(vp, 7));
+  J.tn = Long_val(Field(vp, 8));
+  if (J.tn < 4) J.tn = 4;
+  J.row0 = Long_val(Field(vp, 9));
+  J.c = Caml_ba_data_val(vc);
+  switch (Caml_ba_array_val(vc)->flags & CAML_BA_KIND_MASK) {
+  case CAML_BA_SINT8: J.dst = DST_I8; break;
+  case CAML_BA_FLOAT32: J.dst = DST_F32; break;
+  default: J.dst = DST_F64; break;
+  }
+  J.bt = Caml_ba_data_val(vpk);
+  J.bsum = (const int32_t *)(J.bt + J.n * J.k);
+  /* The epilogue tables are OCaml heap values that a collection on
+     another domain may move once the runtime lock is released, so they
+     are copied out first. */
+  long nrq = Wosize_val(vrq) / 3, nsc = Wosize_val(vscale) / Double_wosize;
+  long nbias = Wosize_val(vbias) / Double_wosize;
+  J.ep_rows = J.dst == DST_I8 ? nrq : nsc;
+  size_t tab = J.dst == DST_I8 ? (size_t)nrq * 3 * sizeof(int64_t)
+                               : (size_t)(nsc + nbias) * sizeof(double);
+  size_t at_bytes = ((size_t)J.rows * J.k * sizeof(int16_t) + 63) & ~(size_t)63;
+  size_t sum_bytes = ((size_t)J.rows * sizeof(int32_t) + 63) & ~(size_t)63;
+  char *buf = scratch(SCR_A, at_bytes + sum_bytes + tab);
+  J.at = (const int16_t *)buf;
+  J.asum = (const int32_t *)(buf + at_bytes);
+  char *tp = buf + at_bytes + sum_bytes;
+  J.rq = NULL;
+  J.scale = J.bias = NULL;
+  if (J.dst == DST_I8) {
+    int64_t *rq = (int64_t *)tp;
+    for (long i = 0; i < nrq * 3; i++) rq[i] = Long_val(Field(vrq, i));
+    J.rq = rq;
+  } else {
+    double *d = (double *)tp;
+    for (long i = 0; i < nsc; i++) d[i] = Double_flat_field(vscale, i);
+    for (long i = 0; i < nbias; i++) d[nsc + i] = Double_flat_field(vbias, i);
+    J.scale = d;
+    J.bias = nbias ? d + nsc : NULL;
+  }
+  const int8_t *a = (const int8_t *)Caml_ba_data_val(va) + ao;
+  caml_enter_blocking_section();
+  pack_a_i8(a, J.k, J.i0, J.rows, (int16_t *)J.at, (int32_t *)J.asum);
+  if (portable) itile_portable(&J);
+  else itile(&J);
+  caml_leave_blocking_section();
+  CAMLreturn(Val_unit);
+}
+
+value sod2_i8_tile(value a, value pk, value c, value rq, value sc, value bias, value p)
+{
+  return i8_tile(a, pk, c, rq, sc, bias, p, 0);
+}
+value sod2_i8_tile_byte(value *argv, int argn)
+{
+  (void)argn;
+  return i8_tile(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6], 0);
+}
+value sod2_i8_tile_portable(value a, value pk, value c, value rq, value sc, value bias, value p)
+{
+  return i8_tile(a, pk, c, rq, sc, bias, p, 1);
+}
+value sod2_i8_tile_portable_byte(value *argv, int argn)
+{
+  (void)argn;
+  return i8_tile(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6], 1);
+}
+
+/* ------------------------------------------------------------------ */
+/* Which clone the loader picked                                       */
+
+/* The target_clones resolver ranks the clones by the same CPU checks,
+   so this names the body every dispatched call above runs. */
+value sod2_gemm_isa(value unit)
+{
+  (void)unit;
+#if SOD2_HAVE_CLONES
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("x86-64-v4")) return caml_copy_string("x86-64-v4");
+  if (__builtin_cpu_supports("x86-64-v3")) return caml_copy_string("x86-64-v3");
+#endif
+  return caml_copy_string("portable");
+}

@@ -10,7 +10,8 @@ module BA1 = Bigarray.Array1
    is accumulated in double precision over the full k extent, in ascending
    p order, and folded into C with exactly one store — so the store is the
    only rounding point under f32, and the naive and blocked kernels produce
-   bit-identical results for finite inputs. *)
+   bit-identical results for all inputs.  No term is skipped, not even for
+   a zero in A: 0 × Inf must give NaN here as it does in the C tile. *)
 type gemm_kernel =
   m:int -> n:int -> k:int ->
   a:Tensor.fbuf -> ao:int -> b:Tensor.fbuf -> bo:int ->
@@ -41,13 +42,11 @@ let naive_kernel : gemm_kernel =
       Array.fill row 0 n 0.0;
       for p = 0 to k - 1 do
         let av = BA1.unsafe_get a (ao + (i * k) + p) in
-        if av <> 0.0 then begin
-          let row_b = bo + (p * n) in
-          for j = 0 to n - 1 do
-            Array.unsafe_set row j
-              (Array.unsafe_get row j +. (av *. BA1.unsafe_get b (row_b + j)))
-          done
-        end
+        let row_b = bo + (p * n) in
+        for j = 0 to n - 1 do
+          Array.unsafe_set row j
+            (Array.unsafe_get row j +. (av *. BA1.unsafe_get b (row_b + j)))
+        done
       done;
       row_writeback c co n i row
     done
@@ -56,13 +55,11 @@ let naive_kernel : gemm_kernel =
       Array.fill row 0 n 0.0;
       for p = 0 to k - 1 do
         let av = BA1.unsafe_get a (ao + (i * k) + p) in
-        if av <> 0.0 then begin
-          let row_b = bo + (p * n) in
-          for j = 0 to n - 1 do
-            Array.unsafe_set row j
-              (Array.unsafe_get row j +. (av *. BA1.unsafe_get b (row_b + j)))
-          done
-        end
+        let row_b = bo + (p * n) in
+        for j = 0 to n - 1 do
+          Array.unsafe_set row j
+            (Array.unsafe_get row j +. (av *. BA1.unsafe_get b (row_b + j)))
+        done
       done;
       row_writeback c co n i row
     done
@@ -72,21 +69,18 @@ let naive_kernel : gemm_kernel =
       Array.fill row 0 n 0.0;
       for p = 0 to k - 1 do
         let av = Tensor.fbuf_get a (ao + (i * k) + p) in
-        if av <> 0.0 then begin
-          let row_b = bo + (p * n) in
-          for j = 0 to n - 1 do
-            Array.unsafe_set row j
-              (Array.unsafe_get row j +. (av *. Tensor.fbuf_get b (row_b + j)))
-          done
-        end
+        let row_b = bo + (p * n) in
+        for j = 0 to n - 1 do
+          Array.unsafe_set row j
+            (Array.unsafe_get row j +. (av *. Tensor.fbuf_get b (row_b + j)))
+        done
       done;
       row_writeback c co n i row
     done)
 
 (* Scalar int8 GEMM: the zero points are subtracted inline, so the
-   accumulator is Σ(a-za)(b-zb) directly — the shape-class dispatcher's
-   Tiny arm, where packing overhead would dominate.  Same overwrite +
-   epilogue contract as [Blocked.gemm_i8]. *)
+   accumulator is Σ(a-za)(b-zb) directly.  Same overwrite contract as
+   [Blocked.gemm_i8], with the epilogue as a plain function. *)
 let gemm_i8_naive ~za ~zb ~epilogue ?(ep_off = 0) ~m ~n ~k ~(a : Tensor.i8buf)
     ~ao ~(b : Tensor.i8buf) ~bo ~(c : Tensor.i8buf) ~co () =
   for i = 0 to m - 1 do

@@ -16,7 +16,8 @@ type gemm_kernel =
     is accumulated in double precision over the full depth [k] in ascending
     order and folded into [C] with a single store — the store is the only
     rounding point under f32, making naive and blocked kernels bit-identical
-    on finite inputs. *)
+    on all inputs (no term is skipped, so 0 × Inf gives NaN everywhere;
+    NaN payloads are not part of the contract). *)
 
 val naive_kernel : gemm_kernel
 
@@ -27,8 +28,8 @@ val gemm_i8_naive :
 (** Scalar int8 GEMM with inline zero-point subtraction: the epilogue
     receives Σ(a-za)(b-zb) per element and returns the int8 value (the
     store clamps to the rails).  [C] is overwritten, not accumulated —
-    same contract as [Blocked.gemm_i8], whose shape-class dispatcher
-    uses this for tiny extents where packing overhead dominates. *)
+    the same contract as [Blocked.gemm_i8], which takes a typed epilogue
+    instead. *)
 
 val check_conv_groups : c:int -> groups:int -> cg:int -> unit
 (** Validates grouped-convolution channel bookkeeping: [groups > 0],

@@ -3,8 +3,8 @@
    reference in {!Reference}, scheme round-trips, and the saturating cast
    boundaries.
 
-   The load-bearing property: [Blocked.gemm_i8]'s SWAR micro-kernel +
-   row/column-sum zero-point correction + fused requantize epilogue must
+   The load-bearing property: [Blocked.gemm_i8]'s C tile kernel +
+   row/column-sum zero-point correction + typed requantize epilogue must
    agree bit-for-bit with [Reference.gemm_i8_acc] + [Reference.requantize]
    — two independent transcriptions of the same integer math — across
    random shapes, scales and zero points. *)
@@ -76,8 +76,7 @@ let requant_gemm_case ~m ~n ~k ~za ~zb ~mult ~zp_out a b =
   (* fused: packed kernel + requantize epilogue in the write-back *)
   let rq = Quant.requant_of_multiplier ~multiplier:mult ~zp:zp_out in
   let c = Bigarray.Array1.create Bigarray.int8_signed Bigarray.c_layout (m * n) in
-  Blocked.gemm_i8 ~za ~zb
-    ~epilogue:(fun _ acc -> Quant.requantize_one rq acc)
+  Blocked.gemm_i8 ~za ~zb ~epilogue:(Blocked.Requant [| rq |])
     ~m ~n ~k ~a:(Tensor.storage_i8 a) ~ao:0 ~b:(Tensor.storage_i8 b) ~bo:0 ~c ~co:0 ();
   (* reference: direct loops + independent scalar requantizer *)
   let accs = RT.Reference.gemm_i8_acc ~za ~zb ~m ~n ~k a b in
@@ -114,7 +113,8 @@ let prop_gemm_i8_matches_naive =
       let ep _ acc = Quant.requantize_one rq acc in
       let c1 = Bigarray.Array1.create Bigarray.int8_signed Bigarray.c_layout (m * n) in
       let c2 = Bigarray.Array1.create Bigarray.int8_signed Bigarray.c_layout (m * n) in
-      Blocked.gemm_i8 ~za ~zb ~epilogue:ep ~m ~n ~k ~a:(Tensor.storage_i8 a) ~ao:0
+      Blocked.gemm_i8 ~za ~zb ~epilogue:(Blocked.Requant [| rq |]) ~m ~n ~k
+        ~a:(Tensor.storage_i8 a) ~ao:0
         ~b:(Tensor.storage_i8 b) ~bo:0 ~c:c1 ~co:0 ();
       Linalg.gemm_i8_naive ~za ~zb ~epilogue:ep ~m ~n ~k ~a:(Tensor.storage_i8 a)
         ~ao:0 ~b:(Tensor.storage_i8 b) ~bo:0 ~c:c2 ~co:0 ();
@@ -126,8 +126,7 @@ let prop_gemm_i8_matches_naive =
 
 let prop_gemm_i8_per_channel =
   (* Per-channel requantization: one multiplier/zero-point per output row
-     (the conv output-channel layout), applied through the epilogue's
-     destination-relative index. *)
+     (the conv output-channel layout), indexed by the epilogue's row. *)
   QCheck2.Test.make ~name:"per-channel requant epilogue bit-exact" ~count:80
     QCheck2.Gen.(tup4 (int_range 1 24) (int_range 1 24) (int_range 1 48) (tup2 i8_gen i8_gen))
     (fun (m, n, k, (za, zb)) ->
@@ -141,9 +140,7 @@ let prop_gemm_i8_per_channel =
               ~zp:(Random.State.int st 255 - 128))
       in
       let c = Bigarray.Array1.create Bigarray.int8_signed Bigarray.c_layout (m * n) in
-      Blocked.gemm_i8 ~za ~zb
-        ~epilogue:(fun ei acc -> Quant.requantize_one rqs.(ei / n) acc)
-        ~m ~n ~k ~a:(Tensor.storage_i8 a) ~ao:0 ~b:(Tensor.storage_i8 b) ~bo:0 ~c
+      Blocked.gemm_i8 ~za ~zb ~epilogue:(Blocked.Requant rqs) ~m ~n ~k ~a:(Tensor.storage_i8 a) ~ao:0 ~b:(Tensor.storage_i8 b) ~bo:0 ~c
         ~co:0 ();
       let accs = RT.Reference.gemm_i8_acc ~za ~zb ~m ~n ~k a b in
       let ok = ref true in
@@ -169,9 +166,7 @@ let test_saturation_rails () =
   let b = Tensor.of_ints Tensor.I8 [ k; n ] (Array.make (k * n) 127) in
   let rq = Quant.requant_of_multiplier ~multiplier:1000.0 ~zp:0 in
   let c = Bigarray.Array1.create Bigarray.int8_signed Bigarray.c_layout (m * n) in
-  Blocked.gemm_i8 ~za:0 ~zb:0
-    ~epilogue:(fun _ acc -> Quant.requantize_one rq acc)
-    ~m ~n ~k ~a:(Tensor.storage_i8 a) ~ao:0 ~b:(Tensor.storage_i8 b) ~bo:0 ~c ~co:0 ();
+  Blocked.gemm_i8 ~za:0 ~zb:0 ~epilogue:(Blocked.Requant [| rq |]) ~m ~n ~k ~a:(Tensor.storage_i8 a) ~ao:0 ~b:(Tensor.storage_i8 b) ~bo:0 ~c ~co:0 ();
   let hi = ref false and lo = ref false in
   for i = 0 to (m * n) - 1 do
     let v = Bigarray.Array1.get c i in
@@ -196,9 +191,7 @@ let conv_i8_case ~stride ~pad ~dilation ~groups ~zx ~zw xdims wdims seed =
   let rq = Quant.requant_of_multiplier ~multiplier:0.02 ~zp:(-5) in
   let c = Bigarray.Array1.create Bigarray.int8_signed Bigarray.c_layout out_n in
   let odims' =
-    Blocked.conv2d_i8_into ~zx ~zw
-      ~epilogue:(fun _ acc -> Quant.requantize_one rq acc)
-      ~stride ~pad ~dilation ~groups ~x:(Tensor.storage_i8 x) ~xoff:0
+    Blocked.conv2d_i8_into ~zx ~zw ~epilogue:(Blocked.Requant [| rq |]) ~stride ~pad ~dilation ~groups ~x:(Tensor.storage_i8 x) ~xoff:0
       ~xdims:(Tensor.dims_arr x) ~w:(Tensor.storage_i8 w) ~woff:0
       ~wdims:(Tensor.dims_arr w) ~c ~co:0 ()
   in
@@ -226,7 +219,7 @@ let test_conv_i8_dilated () =
     ~zw:(-1) [ 1; 2; 12; 12 ] [ 3; 2; 3; 3 ] 99
 
 let test_gemm_i8_dequant () =
-  (* The float write-back variant: epilogue dequantizes with a plain
+  (* The float write-back variant: the epilogue dequantizes with a plain
      float scale; exactness holds because each acc is an integer and the
      reference applies the identical float op. *)
   let m = 9 and n = 14 and k = 21 in
@@ -236,7 +229,7 @@ let test_gemm_i8_dequant () =
   let scale = 0.0125 in
   let c = Tensor.fbuf_create Tensor.F32 (m * n) in
   Blocked.gemm_i8_dequant ~za ~zb
-    ~epilogue:(fun _ acc -> float_of_int acc *. scale)
+    ~epilogue:(Blocked.Dequant { scales = [| scale |]; bias = None })
     ~m ~n ~k ~a:(Tensor.storage_i8 a) ~ao:0 ~b:(Tensor.storage_i8 b) ~bo:0 ~c ~co:0 ();
   let accs = RT.Reference.gemm_i8_acc ~za ~zb ~m ~n ~k a b in
   for i = 0 to (m * n) - 1 do

@@ -15,6 +15,7 @@ let () =
       "runtime", Suite_runtime.suite;
       "kernels", Suite_kernels.suite;
       "strided", Suite_strided.suite;
+      "simd", Suite_simd.suite;
       "fused", Suite_fused.suite;
       "guard", Suite_guard.suite;
       "engine", Suite_engine.suite;
