@@ -332,7 +332,11 @@ let run_cmd =
             Printf.printf
               "fused kernels: %d hits, %d misses, %d rejects, %d live variants\n"
               fs.Sod2_runtime.Backend.hits fs.Sod2_runtime.Backend.misses
-              fs.Sod2_runtime.Backend.rejects fs.Sod2_runtime.Backend.variants
+              fs.Sod2_runtime.Backend.rejects fs.Sod2_runtime.Backend.variants;
+            Printf.printf
+              "fused paths: %d group runs op-by-op without a template, %d anchored runs \
+               two-phase\n"
+              fs.Sod2_runtime.Backend.no_template fs.Sod2_runtime.Backend.two_phase
           end;
           List.iter
             (fun (tid, t) -> Format.printf "output t%d = %a@." tid Tensor.pp t)

@@ -117,7 +117,8 @@ let check (g : Graph.t) : (unit, Sod2_error.t list) result =
   (* --- axis and permutation attributes ------------------------------ *)
   (* A Transpose perm must be a permutation whatever the input; axes are
      checked against the input rank wherever one forward sweep of the
-     shape functions knows it.  The sweep needs sound ids and order, so it
+     shape functions knows it, and so are the ranks of the pooling and
+     BatchNorm inputs.  The sweep needs sound ids and order, so it
      runs only on an otherwise clean graph. *)
   let attr_err (nd : Graph.node) fmt =
     Printf.ksprintf
@@ -126,6 +127,13 @@ let check (g : Graph.t) : (unit, Sod2_error.t list) result =
           (Sod2_error.make ~op:(Op.name nd.Graph.op) ~node:nd.Graph.nname
              Sod2_error.Invalid_graph msg))
       fmt
+  in
+  (* Ops whose kernels index fixed axes: the rank they need. *)
+  let rank_err (nd : Graph.node) need r =
+    add
+      (Sod2_error.make ~op:(Op.name nd.Graph.op) ~node:nd.Graph.nname
+         Sod2_error.Shape_mismatch
+         (Printf.sprintf "%s needs %s, got rank %d" (Op.name nd.Graph.op) need r))
   in
   let check_axis nd r what a =
     if a < -r || a >= r then attr_err nd "%s %d out of range for an input of rank %d" what a r
@@ -141,6 +149,9 @@ let check (g : Graph.t) : (unit, Sod2_error.t list) result =
     | (Op.Softmax { axis } | Op.LogSoftmax { axis }), Some r -> check_axis nd r "axis" axis
     | (Op.ArgMax { axis; _ } | Op.ArgMin { axis; _ }), Some r -> check_axis nd r "axis" axis
     | Op.Reduce { axes; _ }, Some r -> List.iter (check_axis nd r "reduce axis") axes
+    | (Op.MaxPool _ | Op.AveragePool _), Some r when r <> 4 -> rank_err nd "an N×C×H×W input" r
+    | Op.GlobalAveragePool, Some r when r < 3 -> rank_err nd "an input of rank 3 or more" r
+    | Op.BatchNorm _, Some r when r < 2 -> rank_err nd "an input of rank 2 or more" r
     | _ -> ()
   in
   if !errs = [] then begin

@@ -39,6 +39,8 @@ type t = {
   mutable fused_hits : int;
   mutable fused_misses : int;
   mutable fused_rejects : int;
+  mutable fused_no_template : int;
+  mutable fused_two_phase : int;
 }
 
 let create ?(versions = Multi_version.untuned) ?threads ?(profile = "unprofiled") kind =
@@ -61,6 +63,8 @@ let create ?(versions = Multi_version.untuned) ?threads ?(profile = "unprofiled"
     fused_hits = 0;
     fused_misses = 0;
     fused_rejects = 0;
+    fused_no_template = 0;
+    fused_two_phase = 0;
   }
 
 let for_compiled kind (c : Pipeline.compiled) =
@@ -351,6 +355,8 @@ type fused_stats = {
   misses : int;  (** specializations compiled (first sight of a shape) *)
   rejects : int;  (** executions that fell back to op-by-op kernels *)
   variants : int;  (** live specialized kernels across all groups *)
+  no_template : int;  (** multi-op group executions op-by-op for want of a template *)
+  two_phase : int;  (** anchored kernel executions whose chain ran as a second pass *)
 }
 
 let fused_stats t =
@@ -359,7 +365,14 @@ let fused_stats t =
       (fun _ e acc -> if e.fe_kernel <> None then acc + 1 else acc)
       t.fused_cache 0
   in
-  { hits = t.fused_hits; misses = t.fused_misses; rejects = t.fused_rejects; variants }
+  {
+    hits = t.fused_hits;
+    misses = t.fused_misses;
+    rejects = t.fused_rejects;
+    variants;
+    no_template = t.fused_no_template;
+    two_phase = t.fused_two_phase;
+  }
 
 type fused_result = {
   fr_out : Graph.tensor_id;
@@ -421,7 +434,12 @@ let fused_kernel t ?tpl (c : Pipeline.compiled) ~gid
           end
       in
       (match entry with
-      | Some { fe_kernel = Some k; _ } -> Some k
+      | Some { fe_kernel = Some k; _ } ->
+        if k.Fused_compile.k_two_phase then begin
+          t.fused_two_phase <- t.fused_two_phase + 1;
+          counter t "fused-two-phase"
+        end;
+        Some k
       | Some { fe_kernel = None; _ } | None ->
         t.fused_rejects <- t.fused_rejects + 1;
         counter t "fused-reject";
@@ -432,7 +450,10 @@ let fused_run t ?tpl (c : Pipeline.compiled) ~gid
   if t.kind <> Fused then None
   else
     match (match tpl with Some _ -> tpl | None -> c.Pipeline.fused.(gid)) with
-    | None -> None
+    | None ->
+      t.fused_no_template <- t.fused_no_template + 1;
+      counter t "fused-no-template";
+      None
     | Some tpl ->
       let args_t = Array.map fetch tpl.Fused_compile.t_slots in
       let shapes =

@@ -136,13 +136,20 @@ type fused_stats = {
   misses : int;  (** specializations compiled (first sight of a shape) *)
   rejects : int;  (** executions that fell back to op-by-op kernels *)
   variants : int;  (** live specialized kernels across all groups *)
+  no_template : int;
+      (** executions of multi-op groups that ran op-by-op because the group
+          has no template ({!Fused_compile.plan}) *)
+  two_phase : int;
+      (** executions of anchored kernels whose chain did not lower to a
+          write-back program and ran as a second pass *)
 }
 
 val fused_stats : t -> fused_stats
 (** This backend's fused-kernel cache counters.  The same events are also
     recorded process-globally in {!Profile.Counters} under the kinds
-    ["fused-cache-hit"], ["fused-cache-miss"], ["fused-reject"] and
-    ["fused-variant-overflow"]. *)
+    ["fused-cache-hit"], ["fused-cache-miss"], ["fused-reject"],
+    ["fused-variant-overflow"], ["fused-no-template"] and
+    ["fused-two-phase"]. *)
 
 type fused_result = {
   fr_out : Graph.tensor_id;  (** the terminal output tensor's id *)

@@ -681,14 +681,17 @@ let run_engine ~mode ~control ~gate ?(verify = fun _ _ -> ()) ?backend ?arena
                 let dims = List.assoc out k.Fused_compile.k_dims in
                 let numel = List.fold_left ( * ) 1 dims in
                 let par = Backend.par_of be in
+                let kind = k.Fused_compile.k_dtype in
                 (match ar.ar_slot.(out) with
-                | Some (off, cap) when cap = numel && not (is_graph_out out) ->
+                | Some (off, cap)
+                  when cap = numel && (not (is_graph_out out))
+                       && Tensor.fbuf_dtype ar.ar_buf = kind ->
                   k.Fused_compile.k_run_into ~par va ~c:ar.ar_buf ~co:off;
                   ar.ar_loc.(out) <- true;
                   ar.ar_resident <- ar.ar_resident + 1;
                   counter "arena-dest-store"
                 | _ ->
-                  let buf = Tensor.fbuf_create (Tensor.fbuf_dtype ar.ar_buf) numel in
+                  let buf = Tensor.fbuf_create kind numel in
                   Tensor.fbuf_fill buf 0 numel 0.0;
                   k.Fused_compile.k_run_into ~par va ~c:buf ~co:0;
                   st.tensors.(out) <- Some (Tensor.of_fbuf dims buf);

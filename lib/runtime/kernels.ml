@@ -423,55 +423,6 @@ let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
     let od = Tensor.broadcast_dims (view_dims_arr x) (view_dims_arr y) in
     if not (fits (Array.to_list od)) then None
     else Some (binary_into ~chunked b x y c co)
-  | Op.BatchNorm { eps }, [ x; scale; bias; mean; var ] -> (
-    match x.Tensor.vdims with
-    | _ :: ch :: _ when fits x.Tensor.vdims
-                        && Tensor.view_numel scale = ch
-                        && Tensor.view_numel bias = ch
-                        && Tensor.view_numel mean = ch
-                        && Tensor.view_numel var = ch ->
-      let sp =
-        List.fold_left ( * ) 1 (match x.Tensor.vdims with _ :: _ :: rest -> rest | _ -> [])
-      in
-      let o = x.Tensor.voff in
-      let gv (v : Tensor.view) =
-        let off = v.Tensor.voff in
-        match v.Tensor.vbuf with
-        | Tensor.FB32 b -> fun i -> BA1.unsafe_get b (off + i)
-        | Tensor.FB64 b -> fun i -> BA1.unsafe_get b (off + i)
-      in
-      let sv = gv scale and bv = gv bias and mv = gv mean and vv = gv var in
-      (* [Reduction.batch_norm] is a chain of four [map2]s, each of which
-         stores — and under f32 rounds — its intermediate.  The direct loop
-         mirrors that exactly: per-step rounding when every operand and the
-         destination are f32, one plain double-precision chain (store
-         exact) under f64. *)
-      let all_f32 =
-        Tensor.fbuf_dtype c = Tensor.F32
-        && List.for_all
-             (fun (v : Tensor.view) -> Tensor.view_dtype v = Tensor.F32)
-             [ x; scale; bias; mean; var ]
-      in
-      (match x.Tensor.vbuf, c with
-      | Tensor.FB32 b, Tensor.FB32 d when all_f32 ->
-        let r = Tensor.round_f32 in
-        for i = 0 to cap - 1 do
-          let chn = i / sp mod ch in
-          BA1.unsafe_set d (co + i)
-            (r (r (r (BA1.unsafe_get b (o + i) -. mv chn) /. sqrt (vv chn +. eps))
-               *. sv chn)
-            +. bv chn)
-        done
-      | bsrc, d ->
-        for i = 0 to cap - 1 do
-          let chn = i / sp mod ch in
-          Tensor.fbuf_set d (co + i)
-            (((Tensor.fbuf_get bsrc (o + i) -. mv chn) /. sqrt (vv chn +. eps)
-             *. sv chn)
-            +. bv chn)
-        done);
-      Some x.Tensor.vdims
-    | _ -> None)
   (* The strided non-GEMM kernels: the boxed [run] allocates and calls the
      same loops.  They keep the input's rounding points, so the slot must
      hold the kind the boxed result would have. *)
@@ -490,6 +441,29 @@ let run_into ?backend ?cls (op : Op.t) (inputs : Tensor.view list)
     Some x.Tensor.vdims
   | Op.Transpose perm, [ x ] when fits x.Tensor.vdims && same_kind [ x ] ->
     Some (Transform.transpose_into x perm ~c ~co)
+  | Op.BatchNorm { eps }, [ x; scale; bias; mean; var ]
+    when fits x.Tensor.vdims
+         && Reduction.batch_norm_dtype (Tensor.view_dtype x) ~scale:(Tensor.view_dtype scale)
+              ~bias:(Tensor.view_dtype bias) ~mean:(Tensor.view_dtype mean)
+              ~var:(Tensor.view_dtype var)
+            = Tensor.fbuf_dtype c ->
+    Reduction.batch_norm_into x ~scale ~bias ~mean ~var ~eps ~c ~co;
+    Some x.Tensor.vdims
+  | ( (Op.MaxPool { kernel; pool_stride; pool_pads }
+      | Op.AveragePool { kernel; pool_stride; pool_pads }),
+      [ x ] )
+    when same_kind [ x ] -> (
+    let kind = match op with Op.MaxPool _ -> `Max | _ -> `Avg in
+    match
+      Linalg.pool_out_dims ~kernel ~stride:pool_stride ~pad:pool_pads (view_dims_arr x)
+    with
+    | od when fits od ->
+      Some (Linalg.pool2d_into ~kind ~kernel ~stride:pool_stride ~pad:pool_pads x ~c ~co)
+    | _ -> None)
+  | Op.GlobalAveragePool, [ x ] when same_kind [ x ] -> (
+    match Linalg.global_avg_pool_dims (view_dims_arr x) with
+    | od when fits od -> Some (Linalg.global_avg_pool_into x ~c ~co)
+    | _ -> None)
   | Op.Reduce { rkind; axes; keepdims }, [ x ] when same_kind [ x ] -> (
     match Reduction.reduce_out_dims (view_dims_arr x) ~axes ~keepdims with
     | od when fits od ->

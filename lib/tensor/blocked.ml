@@ -29,22 +29,118 @@ let tiles_of ~tile_m ~tile_n ~tile_k ~unroll =
 let ceil_div x y = (x + y - 1) / y
 
 (* ---------------------------------------------------------------- *)
+(* Typed float epilogue                                              *)
+
+type f_operand = { obuf : Tensor.fbuf; ooff : int; odiv : int; olen : int }
+type f_binop = Add | Sub | Mul | Div | Max2 | Min2
+
+type f_unary =
+  | Relu
+  | Leaky_relu of float
+  | Clip of float * float
+  | Sigmoid
+  | Tanh
+  | Exp
+  | Log
+  | Sqrt
+  | Neg
+  | Abs
+  | Erf
+  | Gelu
+  | Hard_swish
+  | Softplus
+  | Floor
+  | Ceil
+  | Reciprocal
+  | Softsign
+  | Sign
+  | Not
+
+type f_step =
+  | Binary of { op : f_binop; x : f_operand; chain_left : bool }
+  | Unary of f_unary
+  | Round_f32
+
+type f_epilogue = f_step list
+
+(* The program as the C tile reads it: 7 ints and 2 floats per step, the
+   operand buffers by index (layout shared with [decode_epilogue] in
+   gemm_stubs.c). *)
+type packed_ep = { codes : int array; params : float array; bufs : Tensor.fbuf array }
+
+let max_steps = 64
+
+let binop_code = function Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Max2 -> 4 | Min2 -> 5
+
+let unary_code = function
+  | Relu -> 0, 0.0, 0.0
+  | Leaky_relu a -> 1, a, 0.0
+  | Clip (lo, hi) -> 2, lo, hi
+  | Sigmoid -> 3, 0.0, 0.0
+  | Tanh -> 4, 0.0, 0.0
+  | Exp -> 5, 0.0, 0.0
+  | Log -> 6, 0.0, 0.0
+  | Sqrt -> 7, 0.0, 0.0
+  | Neg -> 8, 0.0, 0.0
+  | Abs -> 9, 0.0, 0.0
+  | Erf -> 10, 0.0, 0.0
+  | Gelu -> 11, 0.0, 0.0
+  | Hard_swish -> 12, 0.0, 0.0
+  | Softplus -> 13, 0.0, 0.0
+  | Floor -> 14, 0.0, 0.0
+  | Ceil -> 15, 0.0, 0.0
+  | Reciprocal -> 16, 0.0, 0.0
+  | Softsign -> 17, 0.0, 0.0
+  | Sign -> 18, 0.0, 0.0
+  | Not -> 19, 0.0, 0.0
+
+let no_epilogue = { codes = [||]; params = [||]; bufs = [||] }
+
+(* Operand windows are vetted here, once per call: the C loop reads
+   [ooff + ((flat / odiv) mod olen)] unchecked, for flat >= 0. *)
+let pack_epilogue (steps : f_epilogue) =
+  if steps = [] then no_epilogue
+  else begin
+    if List.length steps > max_steps then
+      invalid_arg (Printf.sprintf "Blocked: epilogue longer than %d steps" max_steps);
+    let bufs = ref [] and nb = ref 0 in
+    let enc = function
+      | Binary { op; x = { obuf; ooff; odiv; olen }; chain_left } ->
+        if odiv < 1 || olen < 1 || ooff < 0 || ooff + olen > Tensor.fbuf_len obuf then
+          invalid_arg "Blocked: epilogue operand window outside its buffer";
+        bufs := obuf :: !bufs;
+        incr nb;
+        [| 0; binop_code op; (if chain_left then 0 else 1); !nb - 1; ooff; odiv; olen |],
+        [| 0.0; 0.0 |]
+      | Unary u ->
+        let code, p0, p1 = unary_code u in
+        [| 1; code; 0; 0; 0; 1; 1 |], [| p0; p1 |]
+      | Round_f32 -> [| 2; 0; 0; 0; 0; 1; 1 |], [| 0.0; 0.0 |]
+    in
+    let enc = List.map enc steps in
+    {
+      codes = Array.concat (List.map fst enc);
+      params = Array.concat (List.map snd enc);
+      bufs = Array.of_list (List.rev !bufs);
+    }
+  end
+
+(* ---------------------------------------------------------------- *)
 (* C tile kernels (gemm_stubs.c)                                     *)
 
-type f64scratch = (float, Bigarray.float64_elt, Bigarray.c_layout) BA1.t
 type bytes_scratch = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) BA1.t
 
-(* [gemm_f a b c ep params] runs one float tile: rows [i0, i0+rows) ×
-   columns [j0, j1) of [c += a·b], params = [| ao; bo; co; n; k; i0;
-   rows; j0; j1; tn; use_ep; ep_ld |].  With [use_ep = 1] the pre-store
-   double value [c + Σ a·b] of each element goes to [ep] (row-major,
-   leading dimension [ep_ld]) and C is left untouched. *)
+(* [gemm_f a b c ep params] runs one float row tile: rows [i0, i0+rows)
+   of [c += a·b], params = [| ao; bo; co; n; k; i0; rows; tn; ep_off |].
+   With a non-empty [ep] each element's pre-store double value [c + Σ a·b]
+   goes through the program (flat index = C index − ep_off) before the
+   store. *)
 external gemm_f_tile :
-  Tensor.fbuf -> Tensor.fbuf -> Tensor.fbuf -> f64scratch -> int array -> unit
+  Tensor.fbuf -> Tensor.fbuf -> Tensor.fbuf -> packed_ep -> int array -> unit
   = "sod2_gemm_f"
 
 external gemm_f_tile_portable :
-  Tensor.fbuf -> Tensor.fbuf -> Tensor.fbuf -> f64scratch -> int array -> unit
+  Tensor.fbuf -> Tensor.fbuf -> Tensor.fbuf -> packed_ep -> int array -> unit
   = "sod2_gemm_f_portable"
 
 (* [i8_pack_b b bo n k dst] widens and transposes B (k×n at [bo]) into
@@ -68,7 +164,7 @@ external isa : unit -> string = "sod2_gemm_isa"
 (* The C entry points a call runs: the dispatched clones, or (tests only,
    through {!For_testing}) the portable bodies of the same source. *)
 type kernels = {
-  ftile : Tensor.fbuf -> Tensor.fbuf -> Tensor.fbuf -> f64scratch -> int array -> unit;
+  ftile : Tensor.fbuf -> Tensor.fbuf -> Tensor.fbuf -> packed_ep -> int array -> unit;
   itile :
     'a 'b. Tensor.i8buf -> bytes_scratch -> ('a, 'b, Bigarray.c_layout) BA1.t ->
     int array -> float array -> float array -> int array -> unit;
@@ -77,11 +173,9 @@ type kernels = {
 let dispatched = { ftile = gemm_f_tile; itile = i8_tile }
 let portable = { ftile = gemm_f_tile_portable; itile = i8_tile_portable }
 
-let no_scratch : f64scratch = BA1.create Bigarray.float64 Bigarray.c_layout 0
-
 (* Per-domain buffers that only grow: a steady stream of calls allocates
-   nothing.  A domain runs one GEMM tile at a time, so one buffer per
-   domain is never shared. *)
+   nothing.  A domain runs one GEMM at a time, so one buffer per domain
+   is never shared. *)
 let grow_key create =
   Domain.DLS.new_key (fun () -> ref (create 0))
 
@@ -90,12 +184,6 @@ let grown key create len =
   if BA1.dim !r < len then r := create len;
   !r
 
-let ep_key = grow_key (BA1.create Bigarray.float64 Bigarray.c_layout)
-
-(* Columns per epilogue chunk: the double buffer of one chunk stays near
-   128 KB whatever the tile height. *)
-let ep_chunk_elems = 16384
-
 (* ---------------------------------------------------------------- *)
 (* Float GEMM                                                        *)
 
@@ -103,50 +191,28 @@ let check_window what buf off len =
   if off < 0 || len < 0 || off + len > Tensor.fbuf_len buf then
     invalid_arg (Printf.sprintf "Blocked.gemm: %s window outside its buffer" what)
 
-let gemm_with kern ?(par = sequential) ?(tiles = default_tiles) ?epilogue
-    ?(ep_off = 0) ~m ~n ~k ~(a : Tensor.fbuf) ~ao ~(b : Tensor.fbuf) ~bo ~(c : Tensor.fbuf)
-    ~co () =
+let gemm_packed kern ~par ~tiles ~(ep : packed_ep) ~ep_off ~m ~n ~k ~(a : Tensor.fbuf) ~ao
+    ~(b : Tensor.fbuf) ~bo ~(c : Tensor.fbuf) ~co =
   if m > 0 && n > 0 && k > 0 then begin
     check_window "A" a ao (m * k);
     check_window "B" b bo (k * n);
     check_window "C" c co (m * n);
+    if ep != no_epilogue && co < ep_off then
+      invalid_arg "Blocked.gemm: C window starts before the epilogue base";
     let { tm; tn; tk = _; kunroll = _ } = tiles in
     par.run (ceil_div m tm) (fun it ->
         let i0 = it * tm in
-        let mc = min tm (m - i0) in
-        match epilogue with
-        | None ->
-          kern.ftile a b c no_scratch [| ao; bo; co; n; k; i0; mc; 0; n; tn; 0; 0 |]
-        | Some f ->
-          (* The C tile leaves [c + Σ a·b] per element in a double buffer;
-             the closure sees that pre-store value and the store is still
-             the single rounding point.  [ei] is the epilogue's
-             destination-relative index (see the interface). *)
-          let w = max 16 (ep_chunk_elems / mc / 16 * 16) in
-          let buf = grown ep_key (BA1.create Bigarray.float64 Bigarray.c_layout) (mc * w) in
-          let cstore =
-            match c with
-            | Tensor.FB32 cb -> fun i v -> BA1.unsafe_set cb i v
-            | Tensor.FB64 cb -> fun i v -> BA1.unsafe_set cb i v
-          in
-          let j0 = ref 0 in
-          while !j0 < n do
-            let j1 = min n (!j0 + w) in
-            kern.ftile a b c buf [| ao; bo; co; n; k; i0; mc; !j0; j1; tn; 1; w |];
-            for r = 0 to mc - 1 do
-              let ci = co + ((i0 + r) * n) in
-              let ei = ci - ep_off and bi = (r * w) - !j0 in
-              for j = !j0 to j1 - 1 do
-                cstore (ci + j) (f (ei + j) (BA1.unsafe_get buf (bi + j)))
-              done
-            done;
-            j0 := j1
-          done)
+        kern.ftile a b c ep [| ao; bo; co; n; k; i0; min tm (m - i0); tn; ep_off |])
   end
+
+let gemm_with kern ?(par = sequential) ?(tiles = default_tiles) ?(epilogue = [])
+    ?(ep_off = 0) ~m ~n ~k ~a ~ao ~b ~bo ~c ~co () =
+  gemm_packed kern ~par ~tiles ~ep:(pack_epilogue epilogue) ~ep_off ~m ~n ~k ~a ~ao ~b ~bo
+    ~c ~co
 
 let gemm ?par = gemm_with dispatched ?par
 
-let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ?epilogue
+let conv2d_im2col_with kern ?(par = sequential) ?(tiles = default_tiles) ?(epilogue = [])
     ?(ep_off = 0) ~stride ~pad ~dilation ~groups (vx : Tensor.view)
     (vw : Tensor.view) (vbias : Tensor.view option) ~c:dst ~co =
   let dx = Array.of_list vx.Tensor.vdims and dw = Array.of_list vw.Tensor.vdims in
@@ -181,6 +247,7 @@ let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ?epilogue
     done
   | None -> Tensor.fbuf_fill dst co (n * m * ndim) 0.0);
   if ndim > 0 && kdim > 0 then begin
+    let ep = pack_epilogue epilogue in
     (* One column buffer in the input's precision (the copy is lossless),
        rebuilt per (image, group); gemm completes before the next rebuild,
        so reuse is safe even under the parallel runner. *)
@@ -243,15 +310,17 @@ let conv2d_im2col_into ?(par = sequential) ?(tiles = default_tiles) ?epilogue
         (* [co] makes the gemm's write indices global flat offsets into the
            destination buffer; [ep_off] carries the caller's epilogue base
            through unchanged so epilogue indices stay relative to it. *)
-        gemm ~par ~tiles ?epilogue ~ep_off ~m:mg ~n:ndim ~k:kdim ~a:vw.Tensor.vbuf
+        gemm_packed kern ~par ~tiles ~ep ~ep_off ~m:mg ~n:ndim ~k:kdim
+          ~a:vw.Tensor.vbuf
           ~ao:(vw.Tensor.voff + (g * mg * kdim))
           ~b:col ~bo:0 ~c:dst
           ~co:(co + (((ni * m) + (g * mg)) * ndim))
-          ()
       done
     done
   end;
   [ n; m; oh; ow ]
+
+let conv2d_im2col_into ?par = conv2d_im2col_with dispatched ?par
 
 (* ---------------------------------------------------------------- *)
 (* Int8 path: C tile kernels with a typed epilogue                    *)
@@ -423,6 +492,7 @@ let gemm_i8_dequant ?par ?tiles = gemm_i8_dequant_with dispatched ?par ?tiles ?r
 
 module For_testing = struct
   let gemm_portable ?par = gemm_with portable ?par
+  let conv2d_im2col_into_portable ?par = conv2d_im2col_with portable ?par
   let gemm_i8_portable ?par ?tiles = gemm_i8_with portable ?par ?tiles ?row0:None
   let gemm_i8_dequant_portable ?par ?tiles =
     gemm_i8_dequant_with portable ?par ?tiles ?row0:None

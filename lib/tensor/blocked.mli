@@ -9,7 +9,8 @@
       runner can execute concurrently; each tile runs a C kernel
       ([gemm_stubs.c]) that packs the tile's rows of A into double-precision
       row quads and keeps a 4×16 register micro-tile of double chains over
-      the full depth, reading B straight from its row-major storage;
+      the full depth, reading B straight from its row-major storage, and
+      applies an optional typed write-back program ({!f_epilogue});
     - {!conv2d_im2col} lowers convolution (grouped, strided, dilated,
       padded) onto that GEMM by materializing the im2col column matrix per
       (image, group).
@@ -48,8 +49,73 @@ val tiles_of : tile_m:int -> tile_n:int -> tile_k:int -> unroll:int -> tiles
 (** Sanitize an autotuner configuration into usable tile extents (clamped
     to sane minima so degenerate configs cannot starve the kernel). *)
 
+(** {1 Typed float epilogue}
+
+    The write-back program of an anchored fused group (bias, BatchNorm,
+    activation, residual): a list of steps applied, by the C tile, to each
+    output element's pre-store double value [c + Σ a·b] before the single
+    store.  The steps reproduce the {!Op_semantics}-style OCaml element
+    functions bit for bit: same operations, same order, no contraction of
+    a multiply into an add. *)
+
+type f_operand = {
+  obuf : Tensor.fbuf;
+  ooff : int;  (** element offset of the operand's first value *)
+  odiv : int;
+  olen : int;
+}
+(** A binary step's second operand.  Output element [flat] reads
+    [obuf.(ooff + ((flat / odiv) mod olen))], where [flat] is the
+    element's index relative to the epilogue base ([ep_off]).  A scalar is
+    [olen = 1]; a per-channel vector of an NCHW output is [odiv = H·W],
+    [olen = C]; a last-axis bias is [odiv = 1], [olen = N]; a same-shape
+    residual is [odiv = 1], [olen = numel]. *)
+
+type f_binop = Add | Sub | Mul | Div | Max2 | Min2
+(** [( +. )], [( -. )], [( *. )], [( /. )], [Float.max], [Float.min]. *)
+
+(** The OCaml element functions these reproduce: [Relu] is
+    [Float.max 0.0 v]; [Leaky_relu a] is [if v >= 0.0 then v else a *. v];
+    [Clip (lo, hi)] is [Float.min hi (Float.max lo v)]; the others are
+    [Op_semantics.unary_fn] of the same name (libm [exp], [log], [tanh];
+    [Erf] and [Gelu] use the same Abramowitz–Stegun polynomial). *)
+type f_unary =
+  | Relu
+  | Leaky_relu of float
+  | Clip of float * float
+  | Sigmoid
+  | Tanh
+  | Exp
+  | Log
+  | Sqrt
+  | Neg
+  | Abs
+  | Erf
+  | Gelu
+  | Hard_swish
+  | Softplus
+  | Floor
+  | Ceil
+  | Reciprocal
+  | Softsign
+  | Sign
+  | Not
+
+type f_step =
+  | Binary of { op : f_binop; x : f_operand; chain_left : bool }
+      (** [chain op x] when [chain_left], else [x op chain] *)
+  | Unary of f_unary
+  | Round_f32  (** round to the nearest f32, as an f32 tensor store would *)
+
+type f_epilogue = f_step list
+(** At most {!max_steps} steps; [[]] is the plain store. *)
+
+val max_steps : int
+(** The longest write-back program the tile accepts (64); a longer one is
+    rejected with [Invalid_argument] at the call. *)
+
 val gemm :
-  ?par:par -> ?tiles:tiles -> ?epilogue:(int -> float -> float) ->
+  ?par:par -> ?tiles:tiles -> ?epilogue:f_epilogue ->
   ?ep_off:int -> m:int -> n:int ->
   k:int -> a:Tensor.fbuf -> ao:int -> b:Tensor.fbuf -> bo:int ->
   c:Tensor.fbuf -> co:int -> unit -> unit
@@ -58,24 +124,23 @@ val gemm :
     its flat offset.  [C] is {e accumulated into}, not overwritten, so
     callers zero- or bias-initialize it.
 
-    [epilogue ci v] rewrites the finished value [v] of element [ci] during
-    the tile's write-back — fused-group execution uses
-    it to apply bias/activation chains without a second pass over [C].  It
-    is called exactly once per element, only after the full depth [k] has
-    been accumulated.  [ci] is the element's flat index into [c] minus
-    [ep_off] (default [0], i.e. global): destination-passing callers whose
-    output lives at a nonzero base pass [~ep_off:base] to receive
-    output-relative coordinates without paying a per-element shim. *)
+    [epilogue] (default [[]]) runs on every finished pre-store value,
+    exactly once per element, after the full depth [k] has been
+    accumulated; the store after it is the single rounding point of an
+    f32 [C].  Its operand index is the element's flat index into [c] minus
+    [ep_off] (default [0]), which must not be negative: destination-passing
+    callers whose output lives at a nonzero base pass [~ep_off:base].
+    Operand windows outside their buffers raise [Invalid_argument]. *)
 
 val conv2d_im2col :
-  ?par:par -> ?tiles:tiles -> ?epilogue:(int -> float -> float) ->
+  ?par:par -> ?tiles:tiles -> ?epilogue:f_epilogue ->
   stride:int * int -> pad:int * int * int * int -> dilation:int * int ->
   groups:int -> Tensor.t -> Tensor.t -> Tensor.t option -> Tensor.t
 (** Drop-in replacement for {!Linalg.conv2d}: same NCHW/OIHW layouts, same
     validation, same output; internally each (image, group) pair becomes a
     [mg × (oh·ow) × (cg·kh·kw)] GEMM over the packed column matrix.
     [epilogue] is forwarded to the underlying {!gemm} write-back with flat
-    indices into the NCHW output (it never fires if the output or kernel
+    indices into the NCHW output (it never runs if the output or kernel
     volume is empty). *)
 
 (** {1 Int8 path}
@@ -144,7 +209,7 @@ val conv2d_i8_dequant_into :
     folds the per-channel scale and the (float) bias into the store. *)
 
 val conv2d_im2col_into :
-  ?par:par -> ?tiles:tiles -> ?epilogue:(int -> float -> float) ->
+  ?par:par -> ?tiles:tiles -> ?epilogue:f_epilogue ->
   ?ep_off:int -> stride:int * int -> pad:int * int * int * int ->
   dilation:int * int -> groups:int -> Tensor.view -> Tensor.view ->
   Tensor.view option -> c:Tensor.fbuf -> co:int -> int list
@@ -160,10 +225,16 @@ val conv2d_im2col_into :
     should call these. *)
 module For_testing : sig
   val gemm_portable :
-    ?par:par -> ?tiles:tiles -> ?epilogue:(int -> float -> float) ->
+    ?par:par -> ?tiles:tiles -> ?epilogue:f_epilogue ->
     ?ep_off:int -> m:int -> n:int ->
     k:int -> a:Tensor.fbuf -> ao:int -> b:Tensor.fbuf -> bo:int ->
     c:Tensor.fbuf -> co:int -> unit -> unit
+
+  val conv2d_im2col_into_portable :
+    ?par:par -> ?tiles:tiles -> ?epilogue:f_epilogue ->
+    ?ep_off:int -> stride:int * int -> pad:int * int * int * int ->
+    dilation:int * int -> groups:int -> Tensor.view -> Tensor.view ->
+    Tensor.view option -> c:Tensor.fbuf -> co:int -> int list
 
   val gemm_i8_portable :
     ?par:par -> ?tiles:tiles -> za:int -> zb:int -> epilogue:i8_epilogue ->

@@ -17,6 +17,15 @@
    it is exact in double, and fma(a, b, acc) rounds exactly like
    acc + a*b.  That body is compiled with fp-contract=fast.
 
+   Float epilogue.  A fused group's One-to-One chain (bias, BatchNorm,
+   activation, residual) arrives as a typed program (Blocked.f_epilogue)
+   that runs over each element's pre-store double value before the single
+   store.  The tile leaves those values in a per-thread buffer, one column
+   chunk at a time, and the program runs over it row by row.  It is
+   compiled without contraction, and every step is written in the
+   evaluation order of the OCaml element functions it replaces
+   (Op_semantics), so the stored bits are the op-by-op bits.
+
    Int8 tile.  Operands are widened to int16 and B is transposed once per
    call, so the depth loop is a plain dot product that the vectorizer
    turns into pmaddwd; sums are exact in int32 for depths up to 65536.
@@ -30,6 +39,7 @@
 #include <caml/memory.h>
 #include <caml/mlvalues.h>
 #include <caml/signals.h>
+#include <math.h>
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -61,7 +71,7 @@ struct scratch {
   void *p;
   size_t cap;
 };
-enum { SCR_A, SCR_TAIL, SCR_COUNT };
+enum { SCR_A, SCR_TAIL, SCR_EP, SCR_X, SCR_COUNT };
 
 static pthread_key_t scratch_key;
 static pthread_once_t scratch_once = PTHREAD_ONCE_INIT;
@@ -110,7 +120,7 @@ struct fjob {
   void *c;            /* C at element 0 */
   int c_f32;
   double *ep;         /* non-NULL: write c + acc here instead of C */
-  long ep_ld;
+  long ep_ld;         /* row stride of [ep] */
   long co, n, k, i0, rows, j0, j1, tn;
 };
 
@@ -178,7 +188,26 @@ INLINE void fstore(const struct fjob *J, long ci, long ei, double acc)
           else                                                                   \
             NAME##_micro(ap, b + j, J->n, J->k, acc);                            \
           long ci = J->co + i * J->n + j;                                        \
-          if (w == 16 && !J->ep) {                                               \
+          if (w == 16 && J->ep) {                                                \
+            long ei = (i - J->i0) * J->ep_ld + (j - J->j0);                      \
+            for (long r = 0; r < rn; r++, ci += J->n, ei += J->ep_ld) {          \
+              v8d y0, y1;                                                        \
+              if (J->c_f32) {                                                    \
+                v8f x0, x1;                                                      \
+                memcpy(&x0, (const float *)J->c + ci, sizeof x0);                \
+                memcpy(&x1, (const float *)J->c + ci + 8, sizeof x1);            \
+                y0 = __builtin_convertvector(x0, v8d);                           \
+                y1 = __builtin_convertvector(x1, v8d);                           \
+              } else {                                                           \
+                memcpy(&y0, (const double *)J->c + ci, sizeof y0);               \
+                memcpy(&y1, (const double *)J->c + ci + 8, sizeof y1);           \
+              }                                                                  \
+              y0 += acc[2 * r];                                                  \
+              y1 += acc[2 * r + 1];                                              \
+              memcpy(J->ep + ei, &y0, sizeof y0);                                \
+              memcpy(J->ep + ei + 8, &y1, sizeof y1);                            \
+            }                                                                    \
+          } else if (w == 16) {                                                  \
             for (long r = 0; r < rn; r++, ci += J->n) {                          \
               if (J->c_f32) {                                                    \
                 float *c = (float *)J->c + ci;                                   \
@@ -262,12 +291,257 @@ static void pack_tail(const char *b, size_t esize, long n, long k, long j, long 
     memcpy(t + p * 16 * esize, b + (p * n + j) * esize, (size_t)w * esize);
 }
 
-/* [gemm_f a b c ep params portable]: one tile of Blocked.gemm.  [a], [b],
-   [c] are Tensor.fbuf values (FB32/FB64 of a Bigarray); [ep] is a float64
-   Bigarray used only when params.(10) <> 0.  params = [| ao; bo; co; n;
-   k; i0; rows; j0; j1; tn; use_ep; ep_ld |].  The caller has checked the
-   bounds.  Everything read from OCaml values is read before the runtime
-   lock is released; Bigarray data never moves. */
+/* ------------------------------------------------------------------ */
+/* Float epilogue                                                      */
+
+enum { ST_BIN, ST_UN, ST_ROUND };
+enum { B_ADD, B_SUB, B_MUL, B_DIV, B_MAX, B_MIN };
+enum {
+  U_RELU, U_LEAKY, U_CLIP, U_SIGMOID, U_TANH, U_EXP, U_LOG, U_SQRT, U_NEG, U_ABS,
+  U_ERF, U_GELU, U_HARDSWISH, U_SOFTPLUS, U_FLOOR, U_CEIL, U_RECIP, U_SOFTSIGN,
+  U_SIGN, U_NOT
+};
+#define MAX_STEPS 64
+#define STEP_INTS 7
+
+/* One step.  A binary step's operand [x] is read at ((flat / div) mod
+   len), where flat is the element's index relative to the epilogue base;
+   [rev] puts the chain value on the right. */
+struct fstep {
+  int kind, sub, rev, x32;
+  const void *x;
+  long div, len;
+  double p0, p1;
+};
+
+/* The epilogue loops below are built at O3 so their selects become
+   vector blends; contraction stays off. */
+#pragma GCC push_options
+#pragma GCC optimize("O3", "fp-contract=off")
+
+/* Float.max / Float.min of the OCaml stdlib, NaN and signed-zero cases
+   included, written as selects. */
+INLINE double omax(double x, double y)
+{
+  int c = (y > x) | (!signbit(y) & !!signbit(x));
+  double a = x != x ? x : y, b = y != y ? y : x;
+  return c ? a : b;
+}
+INLINE double omin(double x, double y)
+{
+  int c = (y > x) | (!signbit(y) & !!signbit(x));
+  double a = y != y ? y : x, b = x != x ? x : y;
+  return c ? a : b;
+}
+
+/* omax(0.0, v). */
+INLINE double orelu(double v)
+{
+  double r = v > 0.0 ? v : 0.0;
+  return v != v ? v : r;
+}
+
+/* Op_semantics.erf (Abramowitz-Stegun 7.1.26), same operation order. */
+INLINE double oerf(double x)
+{
+  double sign = x < 0.0 ? -1.0 : 1.0;
+  x = fabs(x);
+  double t = 1.0 / (1.0 + 0.3275911 * x);
+  double y = 1.0 - (((((1.061405429 * t) - 1.453152027) * t) + 1.421413741) * t
+                    - 0.284496736) * t * t * exp(-x * x);
+  return sign * y;
+}
+
+#define UN_LOOP(EXPR)                                                    \
+  do {                                                                   \
+    for (long t = 0; t < w; t++) {                                       \
+      double v = x[t];                                                   \
+      x[t] = (EXPR);                                                     \
+    }                                                                    \
+  } while (0)
+
+/* One unary step over [w] values, the switch outside the loop. */
+INLINE void unary(const struct fstep *s, double *x, long w)
+{
+  double p0 = s->p0, p1 = s->p1;
+  switch (s->sub) {
+  case U_RELU: UN_LOOP(orelu(v)); break;
+  case U_LEAKY: UN_LOOP(v >= 0.0 ? v : p0 * v); break;
+  case U_CLIP: UN_LOOP(omin(p1, omax(p0, v))); break;
+  case U_SIGMOID: UN_LOOP(1.0 / (1.0 + exp(-v))); break;
+  case U_TANH: UN_LOOP(tanh(v)); break;
+  case U_EXP: UN_LOOP(exp(v)); break;
+  case U_LOG: UN_LOOP(log(v)); break;
+  case U_SQRT: UN_LOOP(sqrt(v)); break;
+  case U_NEG: UN_LOOP(-v); break;
+  case U_ABS: UN_LOOP(fabs(v)); break;
+  case U_ERF: UN_LOOP(oerf(v)); break;
+  case U_GELU: UN_LOOP(0.5 * v * (1.0 + oerf(v / sqrt(2.0)))); break;
+  case U_HARDSWISH: UN_LOOP(v * omax(0.0, omin(1.0, (v / 6.0) + 0.5))); break;
+  case U_SOFTPLUS: UN_LOOP(log(1.0 + exp(v))); break;
+  case U_FLOOR: UN_LOOP(floor(v)); break;
+  case U_CEIL: UN_LOOP(ceil(v)); break;
+  case U_RECIP: UN_LOOP(1.0 / v); break;
+  case U_SOFTSIGN: UN_LOOP(v / (1.0 + fabs(v))); break;
+  case U_SIGN: UN_LOOP(v > 0.0 ? 1.0 : v < 0.0 ? -1.0 : 0.0); break;
+  default: UN_LOOP(v == 0.0 ? 1.0 : 0.0); break; /* U_NOT */
+  }
+}
+
+INLINE double xget(const struct fstep *s, long i)
+{
+  return s->x32 ? (double)((const float *)s->x)[i] : ((const double *)s->x)[i];
+}
+
+/* The operand values of elements [flat0, flat0 + w): NULL with [*sc] set
+   when one value serves the whole run, else w doubles (in [tmp] unless
+   the operand is a contiguous f64 run). */
+INLINE const double *operand(const struct fstep *s, long flat0, long w, double *tmp,
+                             double *sc)
+{
+  long q = (flat0 / s->div) % s->len, r = flat0 % s->div;
+  if (s->len == 1 || r + w <= s->div) {
+    *sc = xget(s, q);
+    return NULL;
+  }
+  if (s->div == 1 && q + w <= s->len) {
+    if (!s->x32) return (const double *)s->x + q;
+    const float *f = (const float *)s->x + q;
+    for (long t = 0; t < w; t++) tmp[t] = f[t];
+    return tmp;
+  }
+  for (long t = 0; t < w; t++) {
+    tmp[t] = xget(s, q);
+    if (++r == s->div) {
+      r = 0;
+      if (++q == s->len) q = 0;
+    }
+  }
+  return tmp;
+}
+
+#define BIN_LOOP(EXPR)                                                   \
+  do {                                                                   \
+    if (o)                                                               \
+      for (long t = 0; t < w; t++) {                                     \
+        double a = v[t], b = o[t];                                       \
+        v[t] = (EXPR);                                                   \
+      }                                                                  \
+    else                                                                 \
+      for (long t = 0; t < w; t++) {                                     \
+        double a = v[t], b = sc;                                         \
+        v[t] = (EXPR);                                                   \
+      }                                                                  \
+  } while (0)
+
+/* Run the program over one row run [v] of [w] values whose first element
+   has epilogue index [flat0]. */
+INLINE void ep_run(const struct fstep *S, int ns, double *v, long w, long flat0,
+                   double *tmp)
+{
+  for (int i = 0; i < ns; i++) {
+    const struct fstep *s = &S[i];
+    if (s->kind == ST_ROUND) {
+      for (long t = 0; t < w; t++) v[t] = (double)(float)v[t];
+    } else if (s->kind == ST_UN) {
+      unary(s, v, w);
+    } else {
+      double sc = 0.0;
+      const double *o = operand(s, flat0, w, tmp, &sc);
+      switch (s->sub * 2 + s->rev) {
+      case B_ADD * 2: BIN_LOOP(a + b); break;
+      case B_ADD * 2 + 1: BIN_LOOP(b + a); break;
+      case B_SUB * 2: BIN_LOOP(a - b); break;
+      case B_SUB * 2 + 1: BIN_LOOP(b - a); break;
+      case B_MUL * 2: BIN_LOOP(a * b); break;
+      case B_MUL * 2 + 1: BIN_LOOP(b * a); break;
+      case B_DIV * 2: BIN_LOOP(a / b); break;
+      case B_DIV * 2 + 1: BIN_LOOP(b / a); break;
+      case B_MAX * 2: BIN_LOOP(omax(a, b)); break;
+      case B_MAX * 2 + 1: BIN_LOOP(omax(b, a)); break;
+      case B_MIN * 2: BIN_LOOP(omin(a, b)); break;
+      default: BIN_LOOP(omin(b, a)); break;
+      }
+    }
+  }
+}
+
+/* Apply the program to the [rows] x [w] pre-store values in [ep] (row
+   stride [ld]) and store them into C at [ci0] (row stride n).  [flat0]
+   is the epilogue index of the first element. */
+INLINE void ep_apply_body(const struct fstep *S, int ns, double *ep, long ld, long rows,
+                          long w, void *c, int c_f32, long ci0, long n, long flat0,
+                          double *tmp)
+{
+  for (long r = 0; r < rows; r++) {
+    double *v = ep + r * ld;
+    ep_run(S, ns, v, w, flat0 + r * n, tmp);
+    long ci = ci0 + r * n;
+    if (c_f32) {
+      float *d = (float *)c + ci;
+      for (long t = 0; t < w; t++) d[t] = (float)v[t];
+    } else {
+      memcpy((double *)c + ci, v, (size_t)w * sizeof(double));
+    }
+  }
+}
+
+typedef void (*ep_fn)(const struct fstep *, int, double *, long, long, long, void *, int,
+                      long, long, long, double *);
+
+SOD2_CLONES static void ep_apply(const struct fstep *S, int ns, double *ep, long ld,
+                                 long rows, long w, void *c, int c_f32, long ci0, long n,
+                                 long flat0, double *tmp)
+{
+  ep_apply_body(S, ns, ep, ld, rows, w, c, c_f32, ci0, n, flat0, tmp);
+}
+static void ep_apply_portable(const struct fstep *S, int ns, double *ep, long ld, long rows,
+                              long w, void *c, int c_f32, long ci0, long n, long flat0,
+                              double *tmp)
+{
+  ep_apply_body(S, ns, ep, ld, rows, w, c, c_f32, ci0, n, flat0, tmp);
+}
+#pragma GCC pop_options
+
+/* Decode the packed program { codes; params; bufs } of Blocked (7 ints
+   and 2 floats per step).  Runs with the runtime lock held: the
+   operand Bigarrays' data never move, the arrays holding them may. */
+static int decode_epilogue(value vep, struct fstep *S)
+{
+  value codes = Field(vep, 0), params = Field(vep, 1), bufs = Field(vep, 2);
+  int ns = (int)(Wosize_val(codes) / STEP_INTS);
+  for (int i = 0; i < ns; i++) {
+    struct fstep *s = &S[i];
+    long b = i * STEP_INTS;
+    s->kind = (int)Long_val(Field(codes, b));
+    s->sub = (int)Long_val(Field(codes, b + 1));
+    s->rev = (int)Long_val(Field(codes, b + 2));
+    s->x = NULL;
+    s->x32 = 0;
+    s->div = Long_val(Field(codes, b + 5));
+    s->len = Long_val(Field(codes, b + 6));
+    if (s->kind == ST_BIN) {
+      value ba = Field(Field(bufs, Long_val(Field(codes, b + 3))), 0);
+      long off = Long_val(Field(codes, b + 4));
+      s->x32 = ba_f32(ba);
+      s->x = (const char *)Caml_ba_data_val(ba) + off * (s->x32 ? sizeof(float) : sizeof(double));
+    }
+    s->p0 = Double_flat_field(params, 2 * i);
+    s->p1 = Double_flat_field(params, 2 * i + 1);
+  }
+  return ns;
+}
+
+/* Pre-store values per epilogue chunk: about 128 KB whatever the tile
+   height. */
+#define EP_CHUNK_ELEMS 16384
+
+/* [gemm_f a b c ep params portable]: one row tile of Blocked.gemm.  [a],
+   [b], [c] are Tensor.fbuf values (FB32/FB64 of a Bigarray); [ep] is a
+   packed float epilogue (no steps: plain store).  params = [| ao; bo; co;
+   n; k; i0; rows; tn; ep_off |].  The caller has checked the bounds.
+   Everything read from OCaml values is read before the runtime lock is
+   released; Bigarray data never moves. */
 static value gemm_f(value va, value vb, value vc, value vep, value vp, int portable)
 {
   CAMLparam5(va, vb, vc, vep, vp);
@@ -279,14 +553,15 @@ static value gemm_f(value va, value vb, value vc, value vep, value vp, int porta
   J.k = Long_val(Field(vp, 4));
   J.i0 = Long_val(Field(vp, 5));
   J.rows = Long_val(Field(vp, 6));
-  J.j0 = Long_val(Field(vp, 7));
-  J.j1 = Long_val(Field(vp, 8));
-  J.tn = (Long_val(Field(vp, 9)) + 15) / 16 * 16;
+  J.tn = (Long_val(Field(vp, 7)) + 15) / 16 * 16;
   if (J.tn < 16) J.tn = 16;
-  J.ep = Long_val(Field(vp, 10)) ? (double *)Caml_ba_data_val(vep) : NULL;
-  J.ep_ld = Long_val(Field(vp, 11));
+  long ep_off = Long_val(Field(vp, 8));
+  J.j0 = 0;
+  J.j1 = J.n;
   J.c = Caml_ba_data_val(c);
   J.c_f32 = ba_f32(c);
+  struct fstep S[MAX_STEPS];
+  int ns = decode_epilogue(vep, S);
   int a32 = ba_f32(a), b32 = ba_f32(b);
   size_t asize = a32 ? sizeof(float) : sizeof(double);
   size_t bsize = b32 ? sizeof(float) : sizeof(double);
@@ -295,18 +570,34 @@ static value gemm_f(value va, value vb, value vc, value vep, value vp, int porta
   long nq = (J.rows + 3) / 4;
   double *ap = scratch(SCR_A, (size_t)nq * 4 * J.k * sizeof(double));
   J.ap = ap;
-  long wtail = (J.j1 - J.j0) % 16;
-  J.jtail = J.j1 - wtail;
+  long wtail = J.n % 16;
+  J.jtail = J.n - wtail;
   char *tail = wtail ? scratch(SCR_TAIL, (size_t)J.k * 16 * bsize) : NULL;
   J.btail = tail;
+  /* Column chunk of the epilogue path: a multiple of 16, so only the
+     last chunk meets the ragged tail strip. */
+  long w = lmin(J.n, EP_CHUNK_ELEMS / J.rows / 16 * 16);
+  if (w < 16) w = 16;
+  J.ep = ns ? scratch(SCR_EP, (size_t)J.rows * w * sizeof(double)) : NULL;
+  J.ep_ld = w;
+  double *tmp = ns ? scratch(SCR_X, (size_t)w * sizeof(double)) : NULL;
   ftile_fn f;
   if (a32 && b32) f = portable ? ftile_f32_portable : ftile_f32;
   else if (b32) f = portable ? ftile_b32_portable : ftile_b32;
   else f = portable ? ftile_b64_portable : ftile_b64;
+  ep_fn apply = portable ? ep_apply_portable : ep_apply;
   caml_enter_blocking_section();
   pack_a(ad, a32, J.k, J.i0, J.rows, ap);
   if (tail) pack_tail(J.b, bsize, J.n, J.k, J.jtail, wtail, tail);
-  f(&J);
+  if (!ns) f(&J);
+  else
+    for (long j0 = 0; j0 < J.n; j0 += w) {
+      J.j0 = j0;
+      J.j1 = lmin(J.n, j0 + w);
+      f(&J);
+      long ci0 = J.co + J.i0 * J.n + j0;
+      apply(S, ns, J.ep, w, J.rows, J.j1 - j0, J.c, J.c_f32, ci0, J.n, ci0 - ep_off, tmp);
+    }
   caml_leave_blocking_section();
   CAMLreturn(Val_unit);
 }

@@ -355,67 +355,125 @@ let conv1d ?(stride = 1) ?(pad = (0, 0)) ?(dilation = 1) ?(groups = 1) x w b =
   | [ n; m; 1; ol ] -> Tensor.reshape out [ n; m; ol ]
   | _ -> assert false
 
-let pool2d ~kind ~kernel ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) x =
-  let dx = Tensor.dims_arr x in
-  let n = dx.(0) and c = dx.(1) and h = dx.(2) and w = dx.(3) in
-  let kh, kw = kernel in
-  let sh, sw = stride in
+let pool_err op fmt = Sod2_error.failf ~op Sod2_error.Shape_mismatch fmt
+
+(* Windows are vetted once (the loops below read and write unchecked),
+   and each (image, channel) plane goes through a double scratch, as in
+   the strided kernels of {!Reduction}. *)
+let check_windows op x c co n_out =
+  Reduction.check_src op x;
+  Reduction.check_dst op c co n_out
+let pool_out_dims ~kernel ~stride ~pad (d : int array) =
+  let op = "Pool" in
+  if Array.length d <> 4 then
+    pool_err op "pooling expects an N×C×H×W input, got rank %d" (Array.length d);
+  let kh, kw = kernel and sh, sw = stride in
   let pt, pl, pb, pr = pad in
-  let oh = conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb ~dilation:1 in
-  let ow = conv2d_out_dim ~in_:w ~kernel:kw ~stride:sw ~pad_begin:pl ~pad_end:pr ~dilation:1 in
-  let src = Tensor.data_f x in
-  let dst = Array.make (n * c * oh * ow) 0.0 in
-  for ni = 0 to n - 1 do
-    for ci = 0 to c - 1 do
-      for oy = 0 to oh - 1 do
-        for ox = 0 to ow - 1 do
-          let acc = ref (if kind = `Max then neg_infinity else 0.0) in
-          let count = ref 0 in
-          for ky = 0 to kh - 1 do
-            let iy = (oy * sh) - pt + ky in
-            if iy >= 0 && iy < h then
-              for kx = 0 to kw - 1 do
-                let ix = (ox * sw) - pl + kx in
-                if ix >= 0 && ix < w then begin
-                  let v = src.((((((ni * c) + ci) * h) + iy) * w) + ix) in
-                  (match kind with
-                  | `Max -> if v > !acc then acc := v
-                  | `Avg -> acc := !acc +. v);
-                  incr count
-                end
-              done
-          done;
-          let v =
+  if kh <= 0 || kw <= 0 || sh <= 0 || sw <= 0 then
+    pool_err op "pooling kernel %dx%d and stride %dx%d must be positive" kh kw sh sw;
+  let oh = conv2d_out_dim ~in_:d.(2) ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb ~dilation:1 in
+  let ow = conv2d_out_dim ~in_:d.(3) ~kernel:kw ~stride:sw ~pad_begin:pl ~pad_end:pr ~dilation:1 in
+  if oh < 0 || ow < 0 then pool_err op "pooling window larger than the padded input";
+  [ d.(0); d.(1); oh; ow ]
+
+(* One pass per (image, channel) plane.  Max keeps the first of equal
+   values and skips NaN ([v > acc] from -inf); Avg sums the in-bounds taps
+   in ascending (ky, kx) order and divides by their count (padding is
+   excluded).  A window with no in-bounds tap gives 0. *)
+let pool2d_into ~kind ~kernel ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) (x : Tensor.view) ~c
+    ~co =
+  let d = Array.of_list x.Tensor.vdims in
+  let od = pool_out_dims ~kernel ~stride ~pad d in
+  let n = d.(0) and ch = d.(1) and h = d.(2) and w = d.(3) in
+  let oh = List.nth od 2 and ow = List.nth od 3 in
+  check_windows (match kind with `Max -> "MaxPool" | `Avg -> "AveragePool") x c co
+    (n * ch * oh * ow);
+  let kh, kw = kernel and sh, sw = stride in
+  let pt, pl, _, _ = pad in
+  let src = Array.make (h * w) 0.0 and dst = Array.make (oh * ow) 0.0 in
+  for plane = 0 to (n * ch) - 1 do
+    Reduction.load_lane x.Tensor.vbuf (x.Tensor.voff + (plane * h * w)) 1 (h * w) src;
+    for oy = 0 to oh - 1 do
+      let y0 = (oy * sh) - pt in
+      let ky0 = max 0 (-y0) and ky1 = min kh (h - y0) in
+      for ox = 0 to ow - 1 do
+        let x0 = (ox * sw) - pl in
+        let kx0 = max 0 (-x0) and kx1 = min kw (w - x0) in
+        let v =
+          if ky1 <= ky0 || kx1 <= kx0 then 0.0
+          else
             match kind with
-            | `Max -> if !count = 0 then 0.0 else !acc
-            | `Avg -> if !count = 0 then 0.0 else !acc /. float_of_int !count
-          in
-          dst.((((((ni * c) + ci) * oh) + oy) * ow) + ox) <- v
-        done
+            | `Max ->
+              let acc = ref neg_infinity in
+              for ky = ky0 to ky1 - 1 do
+                let row = (y0 + ky) * w in
+                for kx = kx0 to kx1 - 1 do
+                  let v = Array.unsafe_get src (row + x0 + kx) in
+                  if v > !acc then acc := v
+                done
+              done;
+              !acc
+            | `Avg ->
+              let acc = ref 0.0 in
+              for ky = ky0 to ky1 - 1 do
+                let row = (y0 + ky) * w in
+                for kx = kx0 to kx1 - 1 do
+                  acc := !acc +. Array.unsafe_get src (row + x0 + kx)
+                done
+              done;
+              !acc /. float_of_int ((ky1 - ky0) * (kx1 - kx0))
+        in
+        Array.unsafe_set dst ((oy * ow) + ox) v
       done
-    done
+    done;
+    Reduction.store_lane dst c (co + (plane * oh * ow)) 1 (oh * ow)
   done;
-  Tensor.of_floats (Tensor.dtype x) [ n; c; oh; ow ] dst
+  od
+
+let pool2d ~kind ~kernel ?stride ?pad x =
+  let v = Tensor.view_f x in
+  let od =
+    pool_out_dims ~kernel
+      ~stride:(Option.value stride ~default:(1, 1))
+      ~pad:(Option.value pad ~default:(0, 0, 0, 0))
+      (Tensor.dims_arr x)
+  in
+  let out = Tensor.zeros (Tensor.dtype x) od in
+  ignore (pool2d_into ~kind ~kernel ?stride ?pad v ~c:(Tensor.storage_f out) ~co:0);
+  out
 
 let max_pool2d ~kernel ?stride ?pad x = pool2d ~kind:`Max ~kernel ?stride ?pad x
 let avg_pool2d ~kernel ?stride ?pad x = pool2d ~kind:`Avg ~kernel ?stride ?pad x
 
-let global_avg_pool x =
-  let d = Tensor.dims_arr x in
-  if Array.length d < 3 then invalid_arg "Linalg.global_avg_pool: rank must be >= 3";
-  let n = d.(0) and c = d.(1) in
+let global_avg_pool_dims (d : int array) =
+  if Array.length d < 3 then
+    pool_err "GlobalAveragePool" "GlobalAveragePool expects rank >= 3, got rank %d"
+      (Array.length d);
+  d.(0) :: d.(1) :: List.init (Array.length d - 2) (fun _ -> 1)
+
+(* Per (image, channel): the spatial sum in ascending order, divided by
+   the spatial size. *)
+let global_avg_pool_into (x : Tensor.view) ~c ~co =
+  let d = Array.of_list x.Tensor.vdims in
+  let od = global_avg_pool_dims d in
+  let planes = d.(0) * d.(1) in
   let spatial = Array.fold_left ( * ) 1 (Array.sub d 2 (Array.length d - 2)) in
-  let src = Tensor.data_f x in
-  let out_dims = n :: c :: List.init (Array.length d - 2) (fun _ -> 1) in
-  let dst = Array.make (n * c) 0.0 in
-  for ni = 0 to n - 1 do
-    for ci = 0 to c - 1 do
-      let base = ((ni * c) + ci) * spatial in
-      let acc = ref 0.0 in
-      for s = 0 to spatial - 1 do
-        acc := !acc +. src.(base + s)
-      done;
-      dst.((ni * c) + ci) <- !acc /. float_of_int spatial
-    done
+  check_windows "GlobalAveragePool" x c co planes;
+  let src = Array.make spatial 0.0 and dst = Array.make planes 0.0 in
+  let sf = float_of_int spatial in
+  for plane = 0 to planes - 1 do
+    Reduction.load_lane x.Tensor.vbuf (x.Tensor.voff + (plane * spatial)) 1 spatial src;
+    let acc = ref 0.0 in
+    for s = 0 to spatial - 1 do
+      acc := !acc +. Array.unsafe_get src s
+    done;
+    Array.unsafe_set dst plane (!acc /. sf)
   done;
-  Tensor.of_floats (Tensor.dtype x) out_dims dst
+  Reduction.store_lane dst c co 1 planes;
+  od
+
+let global_avg_pool x =
+  let od = global_avg_pool_dims (Tensor.dims_arr x) in
+  let out = Tensor.zeros (Tensor.dtype x) od in
+  ignore (global_avg_pool_into (Tensor.view_f x) ~c:(Tensor.storage_f out) ~co:0);
+  out

@@ -88,6 +88,26 @@ val conv1d :
   Tensor.t -> Tensor.t -> Tensor.t option -> Tensor.t
 (** [conv1d x w b] with [x : N×C×L], [w : M×(C/g)×K]. *)
 
+val pool2d_into :
+  kind:[ `Max | `Avg ] -> kernel:int * int -> ?stride:int * int ->
+  ?pad:int * int * int * int -> Tensor.view -> c:Tensor.fbuf -> co:int -> int list
+(** Destination-passing 2-d pooling over an [N×C×H×W] view: the
+    [N×C×Oh×Ow] result goes into [c] at element offset [co] and its dims
+    are returned.  One pass per (image, channel) plane.  [`Max] keeps the
+    largest in-bounds value ([v > acc] from [-inf], so NaN taps are
+    skipped); [`Avg] sums the in-bounds taps in ascending order and divides
+    by their count.  A window with no in-bounds tap gives [0].  A rank
+    other than 4, a non-positive kernel or stride, or a window larger than
+    the padded input raise {!Sod2_error.Error} [Shape_mismatch]. *)
+
+val pool_out_dims :
+  kernel:int * int -> stride:int * int -> pad:int * int * int * int -> int array ->
+  int list
+(** Output dims of {!pool2d_into} for input dims; raises like it. *)
+
+val global_avg_pool_dims : int array -> int list
+(** Output dims of {!global_avg_pool_into}; raises like it. *)
+
 val max_pool2d :
   kernel:int * int -> ?stride:int * int -> ?pad:int * int * int * int ->
   Tensor.t -> Tensor.t
@@ -99,7 +119,13 @@ val avg_pool2d :
     (ONNX [count_include_pad = 0]). *)
 
 val global_avg_pool : Tensor.t -> Tensor.t
-(** [N×C×spatial…] → [N×C×1×…×1]. *)
+(** [N×C×spatial…] → [N×C×1×…×1]; rank below 3 raises
+    {!Sod2_error.Error} [Shape_mismatch]. *)
+
+val global_avg_pool_into : Tensor.view -> c:Tensor.fbuf -> co:int -> int list
+(** Destination-passing {!global_avg_pool}: per (image, channel), the
+    spatial sum in ascending order divided by the spatial size, stored
+    into [c] at [co].  Returns the output dims. *)
 
 val conv2d_out_dim : in_:int -> kernel:int -> stride:int -> pad_begin:int ->
   pad_end:int -> dilation:int -> int

@@ -347,12 +347,84 @@ let channel_shape t v =
   let c = Tensor.numel v in
   Tensor.reshape v (1 :: c :: List.init (r - 2) (fun _ -> 1))
 
+(* The kind of each of BatchNorm's four steps, as the composition
+   (x − mean) / sqrt(var + eps) × scale + bias stores them: each step
+   promotes the previous step's kind with its parameter's.  The last is
+   the result's kind. *)
+let batch_norm_kinds x ~scale ~bias ~mean ~var =
+  let p a b = if a = Tensor.F64 || b = Tensor.F64 then Tensor.F64 else Tensor.F32 in
+  let k1 = p x mean in
+  let k2 = p k1 var in
+  let k3 = p k2 scale in
+  k1, k2, k3, p k3 bias
+
+let batch_norm_dtype x ~scale ~bias ~mean ~var =
+  let _, _, _, k4 = batch_norm_kinds x ~scale ~bias ~mean ~var in
+  k4
+
+(* One pass per (image, channel) plane with the channel's constants
+   hoisted: mean, sqrt(var + eps), scale, bias.  A parameter holds one
+   value per channel, or one for all.  The four steps round where the
+   composition stored an f32 intermediate. *)
+let batch_norm_into (x : Tensor.view) ~(scale : Tensor.view) ~(bias : Tensor.view)
+    ~(mean : Tensor.view) ~(var : Tensor.view) ~eps ~c ~co =
+  let op = "BatchNormalization" in
+  let d = Array.of_list x.Tensor.vdims in
+  if Array.length d < 2 then
+    shape_err op "%s: input rank %d, need at least 2" op (Array.length d);
+  let ch = d.(1) in
+  let n = Array.fold_left ( * ) 1 d in
+  let sp = if ch = 0 || d.(0) = 0 then 0 else n / (d.(0) * ch) in
+  let params = [ scale; bias; mean; var ] in
+  List.iter
+    (fun (p : Tensor.view) ->
+      let k = Tensor.view_numel p in
+      if k <> ch && k <> 1 then
+        shape_err op "%s: parameter of %d elements for %d channels" op k ch)
+    params;
+  List.iter (check_src op) (x :: params);
+  check_dst op c co n;
+  let k1, k2, k3, k4 =
+    batch_norm_kinds (Tensor.view_dtype x) ~scale:(Tensor.view_dtype scale)
+      ~bias:(Tensor.view_dtype bias) ~mean:(Tensor.view_dtype mean)
+      ~var:(Tensor.view_dtype var)
+  in
+  let r1 = k1 = Tensor.F32 and r2 = k2 = Tensor.F32 and r3 = k3 = Tensor.F32 in
+  let r4 = k4 = Tensor.F32 in
+  let per_channel (p : Tensor.view) =
+    let k = Tensor.view_numel p in
+    Array.init ch (fun i ->
+        Tensor.fbuf_get p.Tensor.vbuf (p.Tensor.voff + if k = 1 then 0 else i))
+  in
+  let s = per_channel scale and b = per_channel bias and m = per_channel mean in
+  let sq = Array.map (fun v -> sqrt (v +. eps)) (per_channel var) in
+  let plane = Array.make sp 0.0 in
+  let xo = x.Tensor.voff in
+  for pi = 0 to (n / max 1 sp) - 1 do
+    let ci = pi mod ch in
+    let off = pi * sp in
+    let mc = m.(ci) and qc = sq.(ci) and sc = s.(ci) and bc = b.(ci) in
+    load_lane x.Tensor.vbuf (xo + off) 1 sp plane;
+    for k = 0 to sp - 1 do
+      let v = rnd r1 (Array.unsafe_get plane k -. mc) in
+      let v = rnd r2 (v /. qc) in
+      let v = rnd r3 (v *. sc) in
+      Array.unsafe_set plane k (rnd r4 (v +. bc))
+    done;
+    store_lane plane c (co + off) 1 sp
+  done
+
 let batch_norm t ~scale ~bias ~mean ~var ~eps =
-  let scale = channel_shape t scale and bias = channel_shape t bias in
-  let mean = channel_shape t mean and var = channel_shape t var in
-  let normed = Tensor.map2 (fun x m -> x -. m) t mean in
-  let normed = Tensor.map2 (fun x v -> x /. sqrt (v +. eps)) normed var in
-  Tensor.map2 ( +. ) (Tensor.map2 ( *. ) normed scale) bias
+  let op = "BatchNormalization" in
+  let x = float_view op t in
+  let scale = float_view op scale and bias = float_view op bias in
+  let mean = float_view op mean and var = float_view op var in
+  let dt =
+    batch_norm_dtype (Tensor.dtype t) ~scale:(Tensor.view_dtype scale)
+      ~bias:(Tensor.view_dtype bias) ~mean:(Tensor.view_dtype mean)
+      ~var:(Tensor.view_dtype var)
+  in
+  boxed dt (Tensor.dims t) (fun c -> batch_norm_into x ~scale ~bias ~mean ~var ~eps ~c ~co:0)
 
 let group_norm t ~groups ~gamma ~beta ~eps =
   let d = Tensor.dims_arr t in

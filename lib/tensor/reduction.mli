@@ -51,6 +51,24 @@ val layer_norm_dtype : Tensor.dtype -> gamma:Tensor.dtype -> beta:Tensor.dtype -
 (** Output kind of a layer norm: {!Tensor.F32} when all three operands are
     F32, else {!Tensor.F64}. *)
 
+(** {2 Helpers shared by the strided kernels} *)
+
+val check_src : string -> Tensor.view -> unit
+(** [check_src op v] raises {!Sod2_error.Error} [Plan_violation] unless
+    [v]'s window lies inside its buffer. *)
+
+val check_dst : string -> Tensor.fbuf -> int -> int -> unit
+(** [check_dst op c co n]: the same for the destination window
+    [[co, co + n)] of [c]. *)
+
+val load_lane : Tensor.fbuf -> int -> int -> int -> float array -> unit
+(** [load_lane buf off stride n lane] gathers [n] elements at [stride]
+    into a double scratch (exact for either kind). *)
+
+val store_lane : float array -> Tensor.fbuf -> int -> int -> int -> unit
+(** [store_lane lane buf off stride n] scatters them back; an f32 store is
+    the rounding point. *)
+
 (** {1 Boxed kernels} *)
 
 val reduce : kind -> Tensor.t -> axes:int list -> keepdims:bool -> Tensor.t
@@ -72,7 +90,25 @@ val layer_norm : Tensor.t -> gamma:Tensor.t -> beta:Tensor.t -> eps:float -> Ten
 val batch_norm :
   Tensor.t -> scale:Tensor.t -> bias:Tensor.t -> mean:Tensor.t -> var:Tensor.t ->
   eps:float -> Tensor.t
-(** Inference-mode batch normalization over the channel axis (axis 1). *)
+(** Inference-mode batch normalization over the channel axis (axis 1):
+    [(x − mean) / sqrt(var + eps) × scale + bias].  Each parameter holds
+    one value per channel or one for all.  Each of the four steps takes
+    the promotion of the previous step's kind and its parameter's, and
+    rounds when that is f32 ({!batch_norm_dtype} is the last).  Rank below
+    2 or a parameter of another length raise {!Sod2_error.Error}
+    [Shape_mismatch]. *)
+
+val batch_norm_dtype :
+  Tensor.dtype -> scale:Tensor.dtype -> bias:Tensor.dtype -> mean:Tensor.dtype ->
+  var:Tensor.dtype -> Tensor.dtype
+(** The result kind of {!batch_norm} for these operand kinds. *)
+
+val batch_norm_into :
+  Tensor.view -> scale:Tensor.view -> bias:Tensor.view -> mean:Tensor.view ->
+  var:Tensor.view -> eps:float -> c:Tensor.fbuf -> co:int -> unit
+(** Destination-passing {!batch_norm}: one pass per (image, channel)
+    plane with the channel's constants hoisted.  Bit-identical to
+    {!batch_norm} when [c] holds {!batch_norm_dtype}'s kind. *)
 
 val group_norm : Tensor.t -> groups:int -> gamma:Tensor.t -> beta:Tensor.t ->
   eps:float -> Tensor.t

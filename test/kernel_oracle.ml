@@ -156,3 +156,65 @@ let transpose t perm =
   else
     Tensor.of_ints (Tensor.dtype t) (Array.to_list od)
       (Array.init n (fun flat -> Tensor.get_i t (remap (Tensor.unravel od flat))))
+
+(* BatchNorm as the four broadcasting steps it was computed by, each
+   storing (and under f32 rounding) its intermediate. *)
+let batch_norm t ~scale ~bias ~mean ~var ~eps =
+  let r = Tensor.rank t in
+  let channel v = Tensor.reshape v (1 :: Tensor.numel v :: List.init (r - 2) (fun _ -> 1)) in
+  let normed = map2 (fun x m -> x -. m) t (channel mean) in
+  let normed = map2 (fun x v -> x /. sqrt (v +. eps)) normed (channel var) in
+  map2 ( +. ) (map2 ( *. ) normed (channel scale)) (channel bias)
+
+(* 2-d pooling as a bounds-checked walk over every window tap. *)
+let pool2d ~kind ~kernel ~stride ~pad x =
+  let dx = Tensor.dims_arr x in
+  let n = dx.(0) and c = dx.(1) and h = dx.(2) and w = dx.(3) in
+  let kh, kw = kernel and sh, sw = stride in
+  let pt, pl, pb, pr = pad in
+  let oh = ((h + pt + pb - kh) / sh) + 1 and ow = ((w + pl + pr - kw) / sw) + 1 in
+  let src = Tensor.data_f x in
+  let dst = Array.make (n * c * oh * ow) 0.0 in
+  for ni = 0 to n - 1 do
+    for ci = 0 to c - 1 do
+      for oy = 0 to oh - 1 do
+        for ox = 0 to ow - 1 do
+          let acc = ref (if kind = `Max then neg_infinity else 0.0) in
+          let count = ref 0 in
+          for ky = 0 to kh - 1 do
+            let iy = (oy * sh) - pt + ky in
+            if iy >= 0 && iy < h then
+              for kx = 0 to kw - 1 do
+                let ix = (ox * sw) - pl + kx in
+                if ix >= 0 && ix < w then begin
+                  let v = src.((((((ni * c) + ci) * h) + iy) * w) + ix) in
+                  (match kind with
+                  | `Max -> if v > !acc then acc := v
+                  | `Avg -> acc := !acc +. v);
+                  incr count
+                end
+              done
+          done;
+          dst.((((((ni * c) + ci) * oh) + oy) * ow) + ox) <-
+            (if !count = 0 then 0.0
+             else match kind with `Max -> !acc | `Avg -> !acc /. float_of_int !count)
+        done
+      done
+    done
+  done;
+  Tensor.of_floats (Tensor.dtype x) [ n; c; oh; ow ] dst
+
+let global_avg_pool x =
+  let d = Tensor.dims_arr x in
+  let n = d.(0) and c = d.(1) in
+  let spatial = product (Array.sub d 2 (Array.length d - 2)) in
+  let src = Tensor.data_f x in
+  let dst =
+    Array.init (n * c) (fun p ->
+        let acc = ref 0.0 in
+        for s = 0 to spatial - 1 do
+          acc := !acc +. src.((p * spatial) + s)
+        done;
+        !acc /. float_of_int spatial)
+  in
+  Tensor.of_floats (Tensor.dtype x) (n :: c :: List.init (Array.length d - 2) (fun _ -> 1)) dst

@@ -6,7 +6,10 @@
    reference [Linalg.naive_kernel] (DESIGN.md §14), over every {F32, F64}
    kind of A, B and C, ragged m/n (not multiples of the 4×16 micro-tile),
    k = 1, operands at non-zero offsets inside sentinel-filled buffers
-   whose sentinels must survive, with and without an epilogue.
+   whose sentinels must survive, with and without a typed epilogue
+   program, whose result must equal the OCaml composition of the
+   element functions it replaces (each step kind on its own, random
+   programs, and grouped convolutions with per-channel programs).
 
    Int8: exact agreement with [Reference.gemm_i8_acc] followed by
    [Reference.requantize] (or the reference dequantization), with random
@@ -17,25 +20,37 @@ module RT = Sod2_runtime
 let sentinel = -7.25
 
 type float_kernel =
-  ?par:Blocked.par -> ?tiles:Blocked.tiles -> ?epilogue:(int -> float -> float) ->
+  ?par:Blocked.par -> ?tiles:Blocked.tiles -> ?epilogue:Blocked.f_epilogue ->
   ?ep_off:int -> m:int -> n:int -> k:int -> a:Tensor.fbuf -> ao:int ->
   b:Tensor.fbuf -> bo:int -> c:Tensor.fbuf -> co:int -> unit -> unit
 
 let float_kernels : (string * float_kernel) list =
   [ "dispatched", Blocked.gemm; "portable", Blocked.For_testing.gemm_portable ]
 
+type conv_kernel =
+  ?par:Blocked.par -> ?tiles:Blocked.tiles -> ?epilogue:Blocked.f_epilogue -> ?ep_off:int ->
+  stride:int * int -> pad:int * int * int * int -> dilation:int * int -> groups:int ->
+  Tensor.view -> Tensor.view -> Tensor.view option -> c:Tensor.fbuf -> co:int -> int list
+
+let conv_kernels : (string * conv_kernel) list =
+  [
+    "dispatched", Blocked.conv2d_im2col_into;
+    "portable", Blocked.For_testing.conv2d_im2col_into_portable;
+  ]
+
 let gen_kind st = if Random.State.bool st then Tensor.F32 else Tensor.F64
 
 (* A buffer of [off + len + pad] sentinels with [len] random values at
    [off]; some cases use a coarse grid so products and sums tie. *)
-let gen_window st dt len =
+let gen_window ?(f32_values = false) st dt len =
   let off = Random.State.int st 9 and pad = Random.State.int st 9 in
   let buf = Tensor.fbuf_create dt (off + len + pad) in
   Tensor.fbuf_fill buf 0 (off + len + pad) sentinel;
   let coarse = Random.State.int st 3 = 0 in
   for i = 0 to len - 1 do
     let v = Random.State.float st 4.0 -. 2.0 in
-    Tensor.fbuf_set buf (off + i) (if coarse then Float.round (v *. 4.0) /. 4.0 else v)
+    let v = if coarse then Float.round (v *. 4.0) /. 4.0 else v in
+    Tensor.fbuf_set buf (off + i) (if f32_values then Tensor.round_f32 v else v)
   done;
   buf, off
 
@@ -44,21 +59,109 @@ let copy_buf b =
   Tensor.fbuf_blit ~src:b ~soff:0 ~dst:c ~doff:0 ~len:(Tensor.fbuf_len b);
   c
 
+(* Bit for bit, except that NaN payloads are not part of the contract. *)
+let same_value x y =
+  Int64.bits_of_float x = Int64.bits_of_float y || (Float.is_nan x && Float.is_nan y)
+
 let same_bits x y =
   Tensor.fbuf_len x = Tensor.fbuf_len y
   &&
   let ok = ref true in
   for i = 0 to Tensor.fbuf_len x - 1 do
-    if Int64.bits_of_float (Tensor.fbuf_get x i) <> Int64.bits_of_float (Tensor.fbuf_get y i)
-    then ok := false
+    if not (same_value (Tensor.fbuf_get x i) (Tensor.fbuf_get y i)) then ok := false
   done;
   !ok
 
+(* ---- the typed epilogue against the OCaml element functions ---------- *)
+
+(* What each step means, written with the functions the op-by-op kernels
+   run. *)
+let ocaml_unary : Blocked.f_unary -> float -> float = function
+  | Blocked.Relu -> Op_semantics.unary_fn Op.Relu
+  | Blocked.Leaky_relu a -> Op_semantics.unary_fn (Op.LeakyRelu a)
+  | Blocked.Clip (lo, hi) -> fun v -> Float.min hi (Float.max lo v)
+  | Blocked.Sigmoid -> Op_semantics.unary_fn Op.Sigmoid
+  | Blocked.Tanh -> Op_semantics.unary_fn Op.Tanh
+  | Blocked.Exp -> Op_semantics.unary_fn Op.Exp
+  | Blocked.Log -> Op_semantics.unary_fn Op.Log
+  | Blocked.Sqrt -> Op_semantics.unary_fn Op.Sqrt
+  | Blocked.Neg -> Op_semantics.unary_fn Op.Neg
+  | Blocked.Abs -> Op_semantics.unary_fn Op.Abs
+  | Blocked.Erf -> Op_semantics.unary_fn Op.Erf
+  | Blocked.Gelu -> Op_semantics.unary_fn Op.Gelu
+  | Blocked.Hard_swish -> Op_semantics.unary_fn Op.HardSwish
+  | Blocked.Softplus -> Op_semantics.unary_fn Op.Softplus
+  | Blocked.Floor -> Op_semantics.unary_fn Op.Floor
+  | Blocked.Ceil -> Op_semantics.unary_fn Op.Ceil
+  | Blocked.Reciprocal -> Op_semantics.unary_fn Op.Reciprocal
+  | Blocked.Softsign -> Op_semantics.unary_fn Op.Softsign
+  | Blocked.Sign -> Op_semantics.unary_fn Op.Sign
+  | Blocked.Not -> Op_semantics.unary_fn Op.Not
+
+let ocaml_binop : Blocked.f_binop -> float -> float -> float = function
+  | Blocked.Add -> Op_semantics.float_binary_fn Op.Add
+  | Blocked.Sub -> Op_semantics.float_binary_fn Op.Sub
+  | Blocked.Mul -> Op_semantics.float_binary_fn Op.Mul
+  | Blocked.Div -> Op_semantics.float_binary_fn Op.Div
+  | Blocked.Max2 -> Op_semantics.float_binary_fn Op.Max2
+  | Blocked.Min2 -> Op_semantics.float_binary_fn Op.Min2
+
+let ocaml_epilogue (steps : Blocked.f_epilogue) flat v =
+  List.fold_left
+    (fun v -> function
+      | Blocked.Binary { op; x = { Blocked.obuf; ooff; odiv; olen }; chain_left } ->
+        let o = Tensor.fbuf_get obuf (ooff + (flat / odiv mod olen)) in
+        if chain_left then ocaml_binop op v o else ocaml_binop op o v
+      | Blocked.Unary u -> ocaml_unary u v
+      | Blocked.Round_f32 -> Tensor.round_f32 v)
+    v steps
+
+let all_unaries st =
+  Blocked.
+    [
+      Relu; Leaky_relu (Random.State.float st 0.5); Clip (-0.5, 0.75); Sigmoid; Tanh; Exp;
+      Log; Sqrt; Neg; Abs; Erf; Gelu; Hard_swish; Softplus; Floor; Ceil; Reciprocal;
+      Softsign; Sign; Not;
+    ]
+
+let all_binops = Blocked.[ Add; Sub; Mul; Div; Max2; Min2 ]
+
+(* A random program over an output of [total] elements in rows of [row]:
+   operands are scalars, per-row (channel) vectors, last-axis vectors,
+   same-shape tensors or arbitrary (div, len) pairs, each in a sentinel
+   window of either kind. *)
+let gen_epilogue st ~total ~row =
+  let operand () =
+    let odiv, olen =
+      match Random.State.int st 5 with
+      | 0 -> 1, 1
+      | 1 -> row, max 1 (total / row)
+      | 2 -> 1, row
+      | 3 -> 1, total
+      | _ -> 1 + Random.State.int st 7, 1 + Random.State.int st 9
+    in
+    let obuf, ooff = gen_window st (gen_kind st) olen in
+    { Blocked.obuf; ooff; odiv; olen }
+  in
+  List.init (Random.State.int st 7) (fun _ ->
+      match Random.State.int st 3 with
+      | 0 ->
+        Blocked.Binary
+          {
+            op = List.nth all_binops (Random.State.int st 6);
+            x = operand ();
+            chain_left = Random.State.bool st;
+          }
+      | 1 ->
+        let us = all_unaries st in
+        Blocked.Unary (List.nth us (Random.State.int st (List.length us)))
+      | _ -> Blocked.Round_f32)
+
 (* The expected C buffer: the naive kernel accumulates into an f64 copy
    of the C window (exact, so it holds the pre-store double value), then
-   the epilogue (if any) runs on that value and the C-kind store rounds
+   the OCaml epilogue runs on that value and the C-kind store rounds
    once. *)
-let reference ?epilogue ~m ~n ~k ~a ~ao ~b ~bo ~c ~co () =
+let reference ~epilogue ~m ~n ~k ~a ~ao ~b ~bo ~c ~co () =
   let expect = copy_buf c in
   let acc = Tensor.fbuf_create Tensor.F64 (m * n) in
   for i = 0 to (m * n) - 1 do
@@ -66,10 +169,15 @@ let reference ?epilogue ~m ~n ~k ~a ~ao ~b ~bo ~c ~co () =
   done;
   Linalg.naive_kernel ~m ~n ~k ~a ~ao ~b ~bo ~c:acc ~co:0;
   for i = 0 to (m * n) - 1 do
-    let v = Tensor.fbuf_get acc i in
-    Tensor.fbuf_set expect (co + i) (match epilogue with Some f -> f i v | None -> v)
+    Tensor.fbuf_set expect (co + i) (ocaml_epilogue epilogue i (Tensor.fbuf_get acc i))
   done;
   expect
+
+let check_sentinels name c co len =
+  for i = 0 to Tensor.fbuf_len c - 1 do
+    if (i < co || i >= co + len) && Tensor.fbuf_get c i <> sentinel then
+      QCheck2.Test.fail_reportf "%s: sentinel at %d overwritten" name i
+  done
 
 let float_case (name, (gemm : float_kernel)) seed =
   let st = Random.State.make [| seed |] in
@@ -78,33 +186,167 @@ let float_case (name, (gemm : float_kernel)) seed =
   let a, ao = gen_window st (gen_kind st) (m * k) in
   let b, bo = gen_window st (gen_kind st) (k * n) in
   let c, co = gen_window st (gen_kind st) (m * n) in
-  let epilogue =
-    if Random.State.bool st then None
-    else Some (fun ei v -> (v *. 0.5) -. float_of_int (ei mod 7))
-  in
+  let epilogue = if Random.State.bool st then [] else gen_epilogue st ~total:(m * n) ~row:n in
   let tiles =
     Blocked.tiles_of ~tile_m:(32 * (1 + Random.State.int st 2))
       ~tile_n:(16 * (1 + Random.State.int st 4)) ~tile_k:64 ~unroll:4
   in
-  let expect = reference ?epilogue ~m ~n ~k ~a ~ao ~b ~bo ~c ~co () in
-  gemm ~tiles ?epilogue ~ep_off:co ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ();
+  let expect = reference ~epilogue ~m ~n ~k ~a ~ao ~b ~bo ~c ~co () in
+  gemm ~tiles ~epilogue ~ep_off:co ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ();
   if not (same_bits c expect) then
-    QCheck2.Test.fail_reportf "%s: m=%d n=%d k=%d kinds A=%s B=%s C=%s epilogue=%b" name m n
+    QCheck2.Test.fail_reportf "%s: m=%d n=%d k=%d kinds A=%s B=%s C=%s steps=%d" name m n
       k
       (Tensor.dtype_name (Tensor.fbuf_dtype a))
       (Tensor.dtype_name (Tensor.fbuf_dtype b))
       (Tensor.dtype_name (Tensor.fbuf_dtype c))
-      (epilogue <> None);
-  for i = 0 to Tensor.fbuf_len c - 1 do
-    if (i < co || i >= co + (m * n)) && Tensor.fbuf_get c i <> sentinel then
-      QCheck2.Test.fail_reportf "%s: sentinel at %d overwritten" name i
-  done;
+      (List.length epilogue);
+  check_sentinels name c co (m * n);
   true
 
 let prop_float kern =
   QCheck2.Test.make
-    ~name:(Printf.sprintf "float tile == naive kernel, bit for bit (%s)" (fst kern))
+    ~name:
+      (Printf.sprintf "float tile == naive kernel, bit for bit, typed epilogue == OCaml steps (%s)"
+         (fst kern))
     ~count:300 QCheck2.Gen.int (float_case kern)
+
+(* Every step kind on its own, over values that reach each branch (signed
+   zeros, NaN, infinities, negatives for Log/Sqrt), in both kinds of C:
+   the C step must give the OCaml function's bits. *)
+let test_each_step () =
+  let st = Random.State.make [| 11 |] in
+  let specials = [| 0.0; -0.0; nan; infinity; neg_infinity; -1.5; 2.25; 1e-300; -3e7 |] in
+  let m = 6 and n = 37 and k = 3 in
+  let steps =
+    List.map (fun u -> [ Blocked.Unary u ]) (all_unaries st)
+    @ [ [ Blocked.Round_f32 ] ]
+    @ List.concat_map
+        (fun op ->
+          List.map
+            (fun chain_left ->
+              let obuf = Tensor.fbuf_create Tensor.F64 n in
+              for j = 0 to n - 1 do
+                Tensor.fbuf_set obuf j
+                  (if j < Array.length specials then specials.(j)
+                   else Random.State.float st 4.0 -. 2.0)
+              done;
+              let x = { Blocked.obuf; ooff = 0; odiv = 1; olen = n } in
+              [ Blocked.Binary { op; x; chain_left } ])
+            [ true; false ])
+        all_binops
+  in
+  List.iter
+    (fun (kname, (gemm : float_kernel)) ->
+      List.iter
+        (fun cdt ->
+          List.iter
+            (fun epilogue ->
+              (* A is a column of ones, B one row: the pre-store value of
+                 C(i, j) is B(j) + C(i, j) exactly, so the specials reach
+                 the epilogue. *)
+              let a = Tensor.fbuf_create Tensor.F64 (m * k) in
+              Tensor.fbuf_fill a 0 (m * k) 0.0;
+              for i = 0 to m - 1 do
+                Tensor.fbuf_set a (i * k) 1.0
+              done;
+              let b = Tensor.fbuf_create Tensor.F64 (k * n) in
+              Tensor.fbuf_fill b 0 (k * n) 0.0;
+              for j = 0 to n - 1 do
+                Tensor.fbuf_set b j
+                  (if j < Array.length specials then specials.(Array.length specials - 1 - j)
+                   else Random.State.float st 6.0 -. 3.0)
+              done;
+              let c = Tensor.fbuf_create cdt (m * n) in
+              Tensor.fbuf_fill c 0 (m * n) 0.0;
+              let expect = reference ~epilogue ~m ~n ~k ~a ~ao:0 ~b ~bo:0 ~c ~co:0 () in
+              gemm ~epilogue ~m ~n ~k ~a ~ao:0 ~b ~bo:0 ~c ~co:0 ();
+              for i = 0 to (m * n) - 1 do
+                let x = Tensor.fbuf_get c i and y = Tensor.fbuf_get expect i in
+                if not (same_value x y) then
+                  Alcotest.failf "%s C=%s %d-step program, element %d: tile %h vs OCaml %h"
+                    kname (Tensor.dtype_name cdt) (List.length epilogue) i x y
+              done)
+            steps)
+        [ Tensor.F32; Tensor.F64 ])
+    float_kernels
+
+(* Grouped im2col convolution with a per-channel program (the fused
+   Conv+BatchNorm+Relu shape) at an output offset, against the naive
+   convolution followed by the OCaml steps. *)
+let conv_case (name, (conv : conv_kernel)) seed =
+  let st = Random.State.make [| seed |] in
+  let groups = 1 + Random.State.int st 3 in
+  let cg = 1 + Random.State.int st 3 and mg = 1 + Random.State.int st 4 in
+  let c_in = groups * cg and m = groups * mg in
+  let h = 3 + Random.State.int st 9 and w = 3 + Random.State.int st 9 in
+  let kh = 1 + Random.State.int st 3 and kw = 1 + Random.State.int st 3 in
+  let stride = 1 + Random.State.int st 2, 1 + Random.State.int st 2 in
+  let p () = Random.State.int st 2 in
+  let pad = p (), p (), p (), p () in
+  let view st dims =
+    let buf, off = gen_window ~f32_values:true st (gen_kind st) (List.fold_left ( * ) 1 dims) in
+    { Tensor.vbuf = buf; voff = off; vdims = dims }
+  in
+  let x = view st [ 1 + Random.State.int st 2; c_in; h; w ] in
+  let wt = view st [ m; cg; kh; kw ] in
+  let bias = if Random.State.bool st then Some (view st [ m ]) else None in
+  let od =
+    Linalg.conv2d_into ~stride ~pad ~groups x wt bias
+      ~c:(Tensor.fbuf_create Tensor.F64 (1 lsl 16)) ~co:0
+  in
+  let total = List.fold_left ( * ) 1 od in
+  let plane = List.nth od 2 * List.nth od 3 in
+  let chan () =
+    let obuf, ooff = gen_window st (gen_kind st) m in
+    { Blocked.obuf; ooff; odiv = max 1 plane; olen = m }
+  in
+  let epilogue =
+    Blocked.
+      [
+        Round_f32; Binary { op = Sub; x = chan (); chain_left = true }; Round_f32;
+        Binary { op = Div; x = chan (); chain_left = true }; Round_f32;
+        Binary { op = Mul; x = chan (); chain_left = true };
+        Binary { op = Add; x = chan (); chain_left = true }; Unary Relu;
+      ]
+  in
+  let c, co = gen_window st (gen_kind st) total in
+  let pre = Tensor.fbuf_create Tensor.F64 total in
+  ignore (Linalg.conv2d_into ~stride ~pad ~groups x wt bias ~c:pre ~co:0);
+  let expect = copy_buf c in
+  for i = 0 to total - 1 do
+    Tensor.fbuf_set expect (co + i) (ocaml_epilogue epilogue i (Tensor.fbuf_get pre i))
+  done;
+  ignore (conv ~epilogue ~ep_off:co ~stride ~pad ~dilation:(1, 1) ~groups x wt bias ~c ~co);
+  if not (same_bits c expect) then
+    QCheck2.Test.fail_reportf "%s: conv groups=%d c=%d m=%d %dx%d k=%dx%d" name groups c_in m
+      h w kh kw;
+  check_sentinels name c co total;
+  true
+
+let prop_conv kern =
+  QCheck2.Test.make
+    ~name:
+      (Printf.sprintf "grouped conv + per-channel program == naive + OCaml steps (%s)"
+         (fst kern))
+    ~count:60 QCheck2.Gen.int (conv_case kern)
+
+(* Operand windows are vetted before the C loop reads them unchecked. *)
+let test_epilogue_rejects () =
+  let a = Tensor.fbuf_create Tensor.F64 4 and c = Tensor.fbuf_create Tensor.F64 4 in
+  let bad x = [ Blocked.Binary { op = Blocked.Add; x; chain_left = true } ] in
+  let obuf = Tensor.fbuf_create Tensor.F64 3 in
+  List.iter
+    (fun (what, x) ->
+      match
+        Blocked.gemm ~epilogue:(bad x) ~m:2 ~n:2 ~k:1 ~a ~ao:0 ~b:a ~bo:0 ~c ~co:0 ()
+      with
+      | () -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      "window past the end", { Blocked.obuf; ooff = 1; odiv = 1; olen = 3 };
+      "zero divisor", { Blocked.obuf; ooff = 0; odiv = 0; olen = 3 };
+      "empty operand", { Blocked.obuf; ooff = 0; odiv = 1; olen = 0 };
+    ]
 
 (* 0 × Inf is NaN in every kernel — the naive one included, which once
    skipped zero terms of A — and Inf/NaN operands flow through the tile
@@ -294,8 +536,12 @@ let test_isa_named () =
 
 let suite =
   List.map (fun k -> QCheck_alcotest.to_alcotest (prop_float k)) float_kernels
+  @ List.map (fun k -> QCheck_alcotest.to_alcotest (prop_conv k)) conv_kernels
   @ List.map (fun k -> QCheck_alcotest.to_alcotest (prop_i8 k)) i8_kernels
   @ [
+      Alcotest.test_case "each epilogue step == its OCaml function, both clones" `Quick
+        test_each_step;
+      Alcotest.test_case "epilogue operand windows vetted" `Quick test_epilogue_rejects;
       Alcotest.test_case "Inf/NaN operands: naive and tile agree" `Quick test_non_finite;
       Alcotest.test_case "int8 at the depth cap" `Quick test_i8_max_depth;
       Alcotest.test_case "int8 beyond the depth cap rejected" `Quick test_i8_depth_rejected;

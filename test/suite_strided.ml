@@ -202,6 +202,69 @@ let prop_broadcast_int =
       let b = List.nth [ Op.Add; Op.Sub; Op.Mul ] (Random.State.int st 3) in
       Op.Binary b, [ x; y ], Kernel_oracle.map2i (Op_semantics.int_binary_fn b) x y)
 
+(* Parameters hold one value per channel or one for all, each in either
+   kind, so every promotion chain of the four steps occurs. *)
+let prop_batch_norm =
+  bit_identity ~name:"batch norm (mixed kinds, size-1 dims) = oracle" (fun st ->
+      let r = 2 + Random.State.int st 3 in
+      let dims = gen_dims st ~rank:r in
+      let ch = List.nth dims 1 in
+      let x = gen_tensor st (gen_dtype st) dims in
+      let param () =
+        let len = if Random.State.int st 4 = 0 then 1 else ch in
+        gen_tensor st (gen_dtype st) [ len ]
+      in
+      let scale = param () and bias = param () and mean = param () in
+      let var = Tensor.map_f (fun v -> Float.abs v +. 0.25) (param ()) in
+      let eps = if Random.State.bool st then 1e-5 else 0.0 in
+      ( Op.BatchNorm { eps },
+        [ x; scale; bias; mean; var ],
+        Kernel_oracle.batch_norm x ~scale ~bias ~mean ~var ~eps ))
+
+(* Windows past every edge: pads up to 2 on each side, strides up to 3,
+   so some windows have no in-bounds tap at all. *)
+let prop_pool2d =
+  bit_identity ~name:"max/average pool (pads, strides) = oracle" (fun st ->
+      let dims = gen_dims st ~rank:4 in
+      let h = List.nth dims 2 and w = List.nth dims 3 in
+      let x = gen_tensor st (gen_dtype st) dims in
+      let p () = Random.State.int st 3 in
+      let pad = p (), p (), p (), p () in
+      let pt, pl, pb, pr = pad in
+      let kh = 1 + Random.State.int st (max 1 (min 3 (h + pt + pb)))
+      and kw = 1 + Random.State.int st (max 1 (min 3 (w + pl + pr))) in
+      let kernel = kh, kw and stride = 1 + Random.State.int st 3, 1 + Random.State.int st 3 in
+      let is_max = Random.State.bool st in
+      let attrs = { Op.kernel; pool_stride = stride; pool_pads = pad } in
+      ( (if is_max then Op.MaxPool attrs else Op.AveragePool attrs),
+        [ x ],
+        Kernel_oracle.pool2d ~kind:(if is_max then `Max else `Avg) ~kernel ~stride ~pad x ))
+
+let prop_global_avg_pool =
+  bit_identity ~name:"global average pool = oracle" (fun st ->
+      let x = gen_tensor st (gen_dtype st) (gen_dims st ~rank:(3 + Random.State.int st 2)) in
+      Op.GlobalAveragePool, [ x ], Kernel_oracle.global_avg_pool x)
+
+(* A slot of another kind than the boxed result would change the rounding
+   points: [run_into] must decline it (or match the boxed bits). *)
+let test_batch_norm_slot_kind () =
+  let st = Random.State.make [| 3 |] in
+  let x = gen_tensor st Tensor.F32 [ 2; 3; 10 ] in
+  let param () = gen_tensor st Tensor.F32 [ 3 ] in
+  let var = Tensor.map_f (fun v -> Float.abs v +. 0.25) (param ()) in
+  let inputs = [ x; param (); param (); param (); var ] in
+  let op = Op.BatchNorm { eps = 1e-5 } in
+  let boxed = run1 op inputs in
+  let c = Tensor.fbuf_create Tensor.F64 60 in
+  match K.run_into op (List.map Tensor.view_f inputs) ~c ~co:0 ~cap:60 with
+  | None -> ()
+  | Some _ ->
+    Array.iteri
+      (fun i v ->
+        if Int64.bits_of_float v <> Int64.bits_of_float (Tensor.fbuf_get c i) then
+          Alcotest.failf "element %d: slot %h, boxed %h" i (Tensor.fbuf_get c i) v)
+      (Tensor.data_f boxed)
+
 (* ---- structured errors ------------------------------------------------ *)
 
 let expect_error name cls f =
@@ -247,6 +310,22 @@ let test_integer_input () =
   expect_error "softmax on i64" Sod2_error.Unsupported (fun () ->
       run1 (Op.Softmax { axis = 1 }) [ i23 ])
 
+let test_pool_and_batch_norm_rank () =
+  let x3 = Tensor.create_f [ 1; 2; 3 ] [| 1.; 2.; 3.; 4.; 5.; 6. |] in
+  let attrs = { Op.kernel = 2, 2; pool_stride = 1, 1; pool_pads = 0, 0, 0, 0 } in
+  expect_error "max pool on rank 3" Sod2_error.Shape_mismatch (fun () ->
+      run1 (Op.MaxPool attrs) [ x3 ]);
+  expect_error "average pool on rank 3" Sod2_error.Shape_mismatch (fun () ->
+      run1 (Op.AveragePool attrs) [ x3 ]);
+  expect_error "global average pool on rank 2" Sod2_error.Shape_mismatch (fun () ->
+      run1 Op.GlobalAveragePool [ x23 ]);
+  let v3 = Tensor.create_f [ 3 ] [| 1.; 1.; 1. |] in
+  expect_error "batch norm on rank 1" Sod2_error.Shape_mismatch (fun () ->
+      run1 (Op.BatchNorm { eps = 1e-5 }) [ v3; v3; v3; v3; v3 ]);
+  let v2 = Tensor.create_f [ 2 ] [| 1.; 1. |] in
+  expect_error "batch norm parameter of the wrong length" Sod2_error.Shape_mismatch
+    (fun () -> run1 (Op.BatchNorm { eps = 1e-5 }) [ x23; v2; v2; v2; v2 ])
+
 (* A window that does not fit its buffer is refused before any store. *)
 let test_run_into_window_checked () =
   let c = Tensor.fbuf_create Tensor.F32 8 in
@@ -262,6 +341,10 @@ let suite =
       test_layer_norm_affine_length;
     Alcotest.test_case "errors: integer input" `Quick test_integer_input;
     Alcotest.test_case "errors: run_into window checked" `Quick test_run_into_window_checked;
+    Alcotest.test_case "errors: pool and batch-norm ranks" `Quick
+      test_pool_and_batch_norm_rank;
+    Alcotest.test_case "batch norm run_into declines another slot kind" `Quick
+      test_batch_norm_slot_kind;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -273,4 +356,7 @@ let suite =
         prop_transpose_int;
         prop_broadcast_float;
         prop_broadcast_int;
+        prop_batch_norm;
+        prop_pool2d;
+        prop_global_avg_pool;
       ]

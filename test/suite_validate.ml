@@ -160,9 +160,38 @@ let test_axis_attributes () =
       | Error errs -> Alcotest.failf "in-range attribute rejected:\n%s" (Validate.report errs))
     [ Op.Transpose [ 1; 0 ]; Op.Softmax { axis = -1 }; Op.ArgMin { axis = -2; keepdims = true } ]
 
+(* Pooling and BatchNorm index fixed axes: a rank the sweep knows to be
+   wrong is a shape defect at compile time, not a stray exception in the
+   kernel. *)
+let test_pool_and_batch_norm_ranks () =
+  let pool = { Op.kernel = 2, 2; pool_stride = 1, 1; pool_pads = 0, 0, 0, 0 } in
+  List.iter
+    (fun (name, op) -> check_fails name Sod2_error.Shape_mismatch (one_node_graph op))
+    [
+      "max pool on rank 2", Op.MaxPool pool;
+      "average pool on rank 2", Op.AveragePool pool;
+      "global average pool on rank 2", Op.GlobalAveragePool;
+    ];
+  let bn_graph dims =
+    let b = Graph.Builder.create () in
+    let x = Graph.Builder.input b ~name:"x" (Shape.of_ints dims) in
+    let p name = Graph.Builder.const b ~name (Tensor.full_f [ 3 ] 1.0) in
+    let y =
+      Graph.Builder.node1 b (Op.BatchNorm { eps = 1e-5 }) [ x; p "s"; p "b"; p "m"; p "v" ]
+    in
+    Graph.Builder.set_outputs b [ y ];
+    Graph.Builder.finish_unchecked b
+  in
+  check_fails "batch norm on rank 1" Sod2_error.Shape_mismatch (bn_graph [ 3 ]);
+  match Validate.check (bn_graph [ 2; 3 ]) with
+  | Ok () -> ()
+  | Error errs -> Alcotest.failf "rank-2 batch norm rejected:\n%s" (Validate.report errs)
+
 let suite =
   [
     Alcotest.test_case "axis attributes vs inferred rank" `Quick test_axis_attributes;
+    Alcotest.test_case "pool and batch-norm ranks vs inferred rank" `Quick
+      test_pool_and_batch_norm_ranks;
     Alcotest.test_case "zoo models validate" `Quick test_zoo_models_valid;
     Alcotest.test_case "dangling output" `Quick test_dangling_output;
     Alcotest.test_case "arity mismatch" `Quick test_arity_mismatch;
