@@ -53,7 +53,8 @@ let () =
       parse rest
     | "--kernels-smoke" :: rest ->
       (* CI mode: kernel speedup tables only — includes the f32-vs-f64
-         GEMM throughput gate and writes BENCH_f32.json. *)
+         GEMM throughput gate and the conv-vs-its-GEMM gate, and writes
+         BENCH_f32.json. *)
       run_bechamel := false;
       run_tables := false;
       run_arena := false;
@@ -332,17 +333,47 @@ let kernel_speedups () =
       let ratio = median (List.map (fun (a, b) -> a /. b) rounds) in
       Printf.printf "  %-26s %10s %10.3f %10.3f %6.2fx\n"
         "gemm/f32-vs-f64 256^3" "" (t64 *. 1e3) (t32 *. 1e3) (1.0 /. ratio);
+      (* The implicit-im2col conv against the GEMM of its own extents (the
+         skipnet/blockdrop stem: m = 32, n = 112², k = 3·7·7): gathering
+         the panels must cost little next to the arithmetic they feed.
+         Same alternating rounds and statistic as above. *)
+      let x = filled (3 * 224 * 224) and w = filled (32 * 3 * 7 * 7) in
+      let cm, cn, ck = 32, 112 * 112, 3 * 7 * 7 in
+      let out = Tensor.fbuf_create Tensor.F32 (cm * cn) in
+      let view buf dims = { Tensor.vbuf = buf; voff = 0; vdims = dims } in
+      let conv_call () =
+        ignore
+          (Blocked.conv2d_im2col_into ~stride:(2, 2) ~pad:(3, 3, 3, 3) ~dilation:(1, 1)
+             ~groups:1 (view x [ 1; 3; 224; 224 ]) (view w [ 32; 3; 7; 7 ]) None ~c:out ~co:0)
+      in
+      let b = filled (ck * cn) in
+      let gemm_call () =
+        Tensor.fbuf_fill out 0 (cm * cn) 0.0;
+        Blocked.gemm ~m:cm ~n:cn ~k:ck ~a:w ~ao:0 ~b ~bo:0 ~c:out ~co:0 ()
+      in
+      let conv_rounds = alternate 21 conv_call gemm_call in
+      let tconv = median (List.map fst conv_rounds) and tgemm = median (List.map snd conv_rounds) in
+      let conv_ratio = median (List.map (fun (a, b) -> a /. b) conv_rounds) in
+      Printf.printf "  %-26s %10s %10.3f %10.3f %6.2fx\n" "conv/stem 3x224² 7x7/2→32" ""
+        (tgemm *. 1e3) (tconv *. 1e3) conv_ratio;
       Printf.printf "  tile kernels: %s\n" (Blocked.isa ());
       let oc = open_out "BENCH_f32.json" in
       Printf.fprintf oc
         "{\n  \"isa\": %S,\n  \"gemm_256\": {\"f32_ms\": %.4f, \"f64_ms\": %.4f, \
          \"f32_over_f64\": %.3f, \"rounds\": %d, \"statistic\": \"median of \
-         per-round ratios\"}\n}\n"
-        (Blocked.isa ()) (t32 *. 1e3) (t64 *. 1e3) ratio (List.length rounds);
+         per-round ratios\"},\n  \"conv_stem\": {\"conv_ms\": %.4f, \"gemm_ms\": %.4f, \
+         \"conv_over_gemm\": %.3f, \"bound\": 2.0, \"rounds\": %d, \"statistic\": \
+         \"median of per-round ratios\"}\n}\n"
+        (Blocked.isa ()) (t32 *. 1e3) (t64 *. 1e3) ratio (List.length rounds) (tconv *. 1e3)
+        (tgemm *. 1e3) conv_ratio (List.length conv_rounds);
       close_out oc;
       Printf.printf "  wrote BENCH_f32.json\n";
       if ratio > 1.15 then begin
         Printf.printf "  f32 GEMM slower than the f64 baseline (%.2fx) — FAIL\n" ratio;
+        exit 1
+      end;
+      if conv_ratio > 2.0 then begin
+        Printf.printf "  conv more than 2x its own GEMM (%.2fx) — FAIL\n" conv_ratio;
         exit 1
       end;
       let rng = Rng.create 17 in

@@ -114,6 +114,50 @@ let check (g : Graph.t) : (unit, Sod2_error.t list) result =
         (Op_class.value_inputs nd.Graph.op))
     (Graph.nodes g);
 
+  (* --- window attributes -------------------------------------------- *)
+  (* Conv and pooling extents divide by the stride and scale the kernel
+     by the dilation: each of these, and each kernel extent (an attribute
+     of the pools, the constant weight's trailing dims of a conv), must be
+     at least 1. *)
+  Array.iter
+    (fun (nd : Graph.node) ->
+      let below_1 what v =
+        if v < 1 then
+          add
+            (Sod2_error.make ~op:(Op.name nd.Graph.op) ~node:nd.Graph.nname
+               Sod2_error.Invalid_graph (Printf.sprintf "%s %d is below 1" what v))
+      in
+      let weight_kernel () =
+        match nd.Graph.inputs with
+        | _ :: w :: _ when in_range w -> (
+          match Graph.const_value g w with
+          | Some t -> (
+            match Tensor.dims t with
+            | _ :: _ :: ks -> List.iter (below_1 "kernel extent") ks
+            | _ -> ())
+          | None -> ())
+        | _ -> ()
+      in
+      match nd.Graph.op with
+      | Op.Conv { stride = sh, sw; dilation = dh, dw; _ } ->
+        below_1 "stride" sh;
+        below_1 "stride" sw;
+        below_1 "dilation" dh;
+        below_1 "dilation" dw;
+        weight_kernel ()
+      | Op.Conv1d { stride1; dilation1; _ } ->
+        below_1 "stride" stride1;
+        below_1 "dilation" dilation1;
+        weight_kernel ()
+      | Op.MaxPool { kernel = kh, kw; pool_stride = sh, sw; _ }
+      | Op.AveragePool { kernel = kh, kw; pool_stride = sh, sw; _ } ->
+        below_1 "kernel extent" kh;
+        below_1 "kernel extent" kw;
+        below_1 "stride" sh;
+        below_1 "stride" sw
+      | _ -> ())
+    (Graph.nodes g);
+
   (* --- axis and permutation attributes ------------------------------ *)
   (* A Transpose perm must be a permutation whatever the input; axes are
      checked against the input rank wherever one forward sweep of the

@@ -74,9 +74,9 @@ val conv2d_into :
   pad:int * int * int * int -> dilation:int * int -> groups:int ->
   Tensor.view -> Tensor.view -> Tensor.view option ->
   c:Tensor.fbuf -> co:int -> int list
-(** Destination-passing {!conv2d} (naive loops or blocked im2col by shape
-    class); writes into [c] at element offset [co], returns the result
-    dims. *)
+(** Destination-passing {!conv2d} (naive loops or blocked implicit
+    im2col by shape class); writes into [c] at element offset [co],
+    returns the result dims. *)
 
 val conv1d :
   ?cls:Multi_version.shape_class -> t -> stride:int -> pad:int * int ->

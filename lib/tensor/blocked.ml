@@ -134,7 +134,9 @@ type bytes_scratch = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) BA1.t
    of [c += a·b], params = [| ao; bo; co; n; k; i0; rows; tn; ep_off |].
    With a non-empty [ep] each element's pre-store double value [c + Σ a·b]
    goes through the program (flat index = C index − ep_off) before the
-   store. *)
+   store.  With a convolution geometry appended to the params
+   ([conv_shape]), [b] is the NCHW input and B its implicit im2col
+   matrix. *)
 external gemm_f_tile :
   Tensor.fbuf -> Tensor.fbuf -> Tensor.fbuf -> packed_ep -> int array -> unit
   = "sod2_gemm_f"
@@ -159,6 +161,18 @@ external i8_tile_portable :
   float array -> float array -> int array -> unit
   = "sod2_i8_tile_portable_byte" "sod2_i8_tile_portable"
 
+(* The same entry with the int8 input in place of the packed B and the
+   params followed by [bo] and a convolution geometry: B is the implicit
+   im2col matrix of the input at [bo]. *)
+external i8_conv_tile :
+  Tensor.i8buf -> Tensor.i8buf -> ('a, 'b, Bigarray.c_layout) BA1.t -> int array ->
+  float array -> float array -> int array -> unit = "sod2_i8_tile_byte" "sod2_i8_tile"
+
+external i8_conv_tile_portable :
+  Tensor.i8buf -> Tensor.i8buf -> ('a, 'b, Bigarray.c_layout) BA1.t -> int array ->
+  float array -> float array -> int array -> unit
+  = "sod2_i8_tile_portable_byte" "sod2_i8_tile_portable"
+
 external isa : unit -> string = "sod2_gemm_isa"
 
 (* The C entry points a call runs: the dispatched clones, or (tests only,
@@ -168,10 +182,15 @@ type kernels = {
   itile :
     'a 'b. Tensor.i8buf -> bytes_scratch -> ('a, 'b, Bigarray.c_layout) BA1.t ->
     int array -> float array -> float array -> int array -> unit;
+  iconv :
+    'a 'b. Tensor.i8buf -> Tensor.i8buf -> ('a, 'b, Bigarray.c_layout) BA1.t ->
+    int array -> float array -> float array -> int array -> unit;
 }
 
-let dispatched = { ftile = gemm_f_tile; itile = i8_tile }
-let portable = { ftile = gemm_f_tile_portable; itile = i8_tile_portable }
+let dispatched = { ftile = gemm_f_tile; itile = i8_tile; iconv = i8_conv_tile }
+
+let portable =
+  { ftile = gemm_f_tile_portable; itile = i8_tile_portable; iconv = i8_conv_tile_portable }
 
 (* Per-domain buffers that only grow: a steady stream of calls allocates
    nothing.  A domain runs one GEMM at a time, so one buffer per domain
@@ -193,7 +212,7 @@ let check_window what buf off len =
 
 let gemm_packed kern ~par ~tiles ~(ep : packed_ep) ~ep_off ~m ~n ~k ~(a : Tensor.fbuf) ~ao
     ~(b : Tensor.fbuf) ~bo ~(c : Tensor.fbuf) ~co =
-  if m > 0 && n > 0 && k > 0 then begin
+  if m > 0 && n > 0 then begin
     check_window "A" a ao (m * k);
     check_window "B" b bo (k * n);
     check_window "C" c co (m * n);
@@ -212,29 +231,67 @@ let gemm_with kern ?(par = sequential) ?(tiles = default_tiles) ?(epilogue = [])
 
 let gemm ?par = gemm_with dispatched ?par
 
-let conv2d_im2col_with kern ?(par = sequential) ?(tiles = default_tiles) ?(epilogue = [])
-    ?(ep_off = 0) ~stride ~pad ~dilation ~groups (vx : Tensor.view)
-    (vw : Tensor.view) (vbias : Tensor.view option) ~c:dst ~co =
-  let dx = Array.of_list vx.Tensor.vdims and dw = Array.of_list vw.Tensor.vdims in
-  let n = dx.(0) and c = dx.(1) and h = dx.(2) and wd = dx.(3) in
-  let m = dw.(0) and cg = dw.(1) and kh = dw.(2) and kw = dw.(3) in
-  let sh, sw = stride in
+(* One convolution's extents.  Callers check the input, weight and
+   destination windows these span once: the C tiles read them unchecked. *)
+type conv_shape = {
+  n : int;
+  m : int;
+  mg : int;  (* output channels per group *)
+  oh : int;
+  ow : int;
+  kdim : int;  (* cg·kh·kw, the GEMM depth *)
+  ndim : int;  (* oh·ow, the GEMM width *)
+  plane_in : int;  (* cg·h·w, the input elements of one (image, group) *)
+  geom : int array;  (* [| h; w; cg; kh; kw; sh; sw; pt; pl; dh; dw; ow |] *)
+}
+
+let conv_shape ~stride ~pad ~dilation ~groups ~xdims ~wdims =
+  let n = xdims.(0) and c = xdims.(1) and h = xdims.(2) and wd = xdims.(3) in
+  let m = wdims.(0) and cg = wdims.(1) and kh = wdims.(2) and kw = wdims.(3) in
+  let sh, sw = stride and dh, dw = dilation in
   let pt, pl, pb, pr = pad in
-  let dh, dw_ = dilation in
   Linalg.check_conv_groups ~c ~groups ~cg;
   let oh =
-    Linalg.conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb
-      ~dilation:dh
+    Linalg.conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb ~dilation:dh
   in
   let ow =
     Linalg.conv2d_out_dim ~in_:wd ~kernel:kw ~stride:sw ~pad_begin:pl ~pad_end:pr
-      ~dilation:dw_
+      ~dilation:dw
   in
-  let mg = m / groups in
-  let kdim = cg * kh * kw in
-  let ndim = oh * ow in
-  (* The gemm accumulates into its destination window, so it must start
-     from the bias value (or zero) regardless of what the buffer held. *)
+  {
+    n; m; mg = m / groups; oh; ow; kdim = cg * kh * kw; ndim = oh * ow;
+    plane_in = cg * h * wd;
+    geom = [| h; wd; cg; kh; kw; sh; sw; pt; pl; dh; dw; ow |];
+  }
+
+(* Every (image, group) of a convolution as one GEMM over the implicit
+   im2col matrix, in row tiles: [tile ~ni ~g ~i0 ~rows] runs one. *)
+let conv_tiles ~par ~tiles ~groups s tile =
+  if s.ndim > 0 && s.mg > 0 then
+    for ni = 0 to s.n - 1 do
+      for g = 0 to groups - 1 do
+        par.run (ceil_div s.mg tiles.tm) (fun it ->
+            let i0 = it * tiles.tm in
+            tile ~ni ~g ~i0 ~rows:(min tiles.tm (s.mg - i0)))
+      done
+    done
+
+let conv2d_im2col_with kern ?(par = sequential) ?(tiles = default_tiles) ?(epilogue = [])
+    ?(ep_off = 0) ~stride ~pad ~dilation ~groups (vx : Tensor.view)
+    (vw : Tensor.view) (vbias : Tensor.view option) ~c:dst ~co =
+  let s =
+    conv_shape ~stride ~pad ~dilation ~groups ~xdims:(Array.of_list vx.Tensor.vdims)
+      ~wdims:(Array.of_list vw.Tensor.vdims)
+  in
+  let { n; m; mg; oh; ow; kdim; ndim; plane_in; geom } = s in
+  check_window "input" vx.Tensor.vbuf vx.Tensor.voff (n * groups * plane_in);
+  check_window "weights" vw.Tensor.vbuf vw.Tensor.voff (m * kdim);
+  check_window "C" dst co (n * m * ndim);
+  let ep = pack_epilogue epilogue in
+  if ep != no_epilogue && co < ep_off then
+    invalid_arg "Blocked.conv2d: C window starts before the epilogue base";
+  (* The tiles accumulate into their destination window, so it must
+     start from the bias value (or zero) regardless of what it held. *)
   (match vbias with
   | Some bt ->
     for ni = 0 to n - 1 do
@@ -246,78 +303,19 @@ let conv2d_im2col_with kern ?(par = sequential) ?(tiles = default_tiles) ?(epilo
       done
     done
   | None -> Tensor.fbuf_fill dst co (n * m * ndim) 0.0);
-  if ndim > 0 && kdim > 0 then begin
-    let ep = pack_epilogue epilogue in
-    (* One column buffer in the input's precision (the copy is lossless),
-       rebuilt per (image, group); gemm completes before the next rebuild,
-       so reuse is safe even under the parallel runner. *)
-    let col = Tensor.fbuf_create (Tensor.view_dtype vx) (kdim * ndim) in
-    let fill_col =
-      match vx.Tensor.vbuf, col with
-      | Tensor.FB32 src, Tensor.FB32 colb ->
-        fun ni g ->
-          BA1.fill colb 0.0;
-          for ci = 0 to cg - 1 do
-            let cin = (g * cg) + ci in
-            let src_base = vx.Tensor.voff + (((ni * c) + cin) * h * wd) in
-            for ky = 0 to kh - 1 do
-              for kx = 0 to kw - 1 do
-                let rbase = ((((ci * kh) + ky) * kw) + kx) * ndim in
-                for oy = 0 to oh - 1 do
-                  let iy = (oy * sh) - pt + (ky * dh) in
-                  if iy >= 0 && iy < h then begin
-                    let sbase = src_base + (iy * wd) in
-                    let obase = rbase + (oy * ow) in
-                    for ox = 0 to ow - 1 do
-                      let ix = (ox * sw) - pl + (kx * dw_) in
-                      if ix >= 0 && ix < wd then
-                        BA1.unsafe_set colb (obase + ox) (BA1.unsafe_get src (sbase + ix))
-                    done
-                  end
-                done
-              done
-            done
-          done
-      | Tensor.FB64 src, Tensor.FB64 colb ->
-        fun ni g ->
-          BA1.fill colb 0.0;
-          for ci = 0 to cg - 1 do
-            let cin = (g * cg) + ci in
-            let src_base = vx.Tensor.voff + (((ni * c) + cin) * h * wd) in
-            for ky = 0 to kh - 1 do
-              for kx = 0 to kw - 1 do
-                let rbase = ((((ci * kh) + ky) * kw) + kx) * ndim in
-                for oy = 0 to oh - 1 do
-                  let iy = (oy * sh) - pt + (ky * dh) in
-                  if iy >= 0 && iy < h then begin
-                    let sbase = src_base + (iy * wd) in
-                    let obase = rbase + (oy * ow) in
-                    for ox = 0 to ow - 1 do
-                      let ix = (ox * sw) - pl + (kx * dw_) in
-                      if ix >= 0 && ix < wd then
-                        BA1.unsafe_set colb (obase + ox) (BA1.unsafe_get src (sbase + ix))
-                    done
-                  end
-                done
-              done
-            done
-          done
-      | _ -> assert false (* [col]'s kind mirrors the input's *)
-    in
-    for ni = 0 to n - 1 do
-      for g = 0 to groups - 1 do
-        fill_col ni g;
-        (* [co] makes the gemm's write indices global flat offsets into the
-           destination buffer; [ep_off] carries the caller's epilogue base
-           through unchanged so epilogue indices stay relative to it. *)
-        gemm_packed kern ~par ~tiles ~ep ~ep_off ~m:mg ~n:ndim ~k:kdim
-          ~a:vw.Tensor.vbuf
-          ~ao:(vw.Tensor.voff + (g * mg * kdim))
-          ~b:col ~bo:0 ~c:dst
-          ~co:(co + (((ni * m) + (g * mg)) * ndim))
-      done
-    done
-  end;
+  (* [co] makes the tile's write indices global flat offsets into the
+     destination buffer; [ep_off] carries the caller's epilogue base
+     through unchanged so epilogue indices stay relative to it. *)
+  conv_tiles ~par ~tiles ~groups s (fun ~ni ~g ~i0 ~rows ->
+      kern.ftile vw.Tensor.vbuf vx.Tensor.vbuf dst ep
+        (Array.append
+           [|
+             vw.Tensor.voff + (g * mg * kdim);
+             vx.Tensor.voff + (((ni * groups) + g) * plane_in);
+             co + (((ni * m) + (g * mg)) * ndim);
+             ndim; kdim; i0; rows; tiles.tn; ep_off;
+           |]
+           geom));
   [ n; m; oh; ow ]
 
 let conv2d_im2col_into ?par = conv2d_im2col_with dispatched ?par
@@ -346,7 +344,7 @@ let check_i8 what (buf : Tensor.i8buf) off len =
 
 (* The epilogue as the C kernel reads it: flattened (qm, shift, zp)
    triples, or scales and bias.  One entry serves every row; otherwise
-   there is one per epilogue row (row [row0 + i] for output row [i]). *)
+   there is one per epilogue row (for a convolution, per output channel). *)
 let epilogue_tables ~rows = function
   | Requant rqs ->
     let len = Array.length rqs in
@@ -368,10 +366,9 @@ let epilogue_tables ~rows = function
 
 (* Shared int8 GEMM skeleton.  C is OVERWRITTEN, not accumulated into:
    every element's complete accumulator exists exactly once, at
-   write-back, where the epilogue consumes it.  [row0] is the epilogue
-   row of output row 0 (conv groups pass their first channel). *)
+   write-back, where the epilogue consumes it. *)
 let gemm_i8_gen kern ?(par = sequential) ?(tiles = default_tiles) ~za ~zb
-    ~epilogue ?(row0 = 0) ~m ~n ~k ~(a : Tensor.i8buf) ~ao ~(b : Tensor.i8buf) ~bo
+    ~epilogue ~m ~n ~k ~(a : Tensor.i8buf) ~ao ~(b : Tensor.i8buf) ~bo
     ~(c : ('a, 'b, Bigarray.c_layout) BA1.t) ~co () =
   if k > max_i8_depth then
     invalid_arg "Blocked.gemm_i8: depth exceeds 65536 (int32 accumulator range)";
@@ -380,7 +377,7 @@ let gemm_i8_gen kern ?(par = sequential) ?(tiles = default_tiles) ~za ~zb
     check_i8 "B" b bo (k * n);
     if co < 0 || co + (m * n) > BA1.dim c then
       invalid_arg "Blocked.gemm_i8: C window outside its buffer";
-    let rq, scales, bias = epilogue_tables ~rows:(row0 + m) epilogue in
+    let rq, scales, bias = epilogue_tables ~rows:m epilogue in
     let packed =
       grown pack_key (BA1.create Bigarray.char Bigarray.c_layout) ((n * k * 2) + (n * 4))
     in
@@ -389,133 +386,94 @@ let gemm_i8_gen kern ?(par = sequential) ?(tiles = default_tiles) ~za ~zb
     par.run (ceil_div m tm) (fun it ->
         let i0 = it * tm in
         let rows = min tm (m - i0) in
-        kern.itile a packed c rq scales bias [| ao; co; n; k; i0; rows; za; zb; tn; row0 |])
+        kern.itile a packed c rq scales bias [| ao; co; n; k; i0; rows; za; zb; tn; 0 |])
   end
 
-let gemm_i8_with kern ?par ?tiles ~za ~zb ~epilogue ?row0 ~m ~n ~k ~a ~ao ~b ~bo
+let gemm_i8_with kern ?par ?tiles ~za ~zb ~epilogue ~m ~n ~k ~a ~ao ~b ~bo
     ~(c : Tensor.i8buf) ~co () =
   (match epilogue with
   | Requant _ -> ()
   | Dequant _ -> invalid_arg "Blocked.gemm_i8: an int8 destination needs a Requant epilogue");
-  gemm_i8_gen kern ?par ?tiles ~za ~zb ~epilogue ?row0 ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()
+  gemm_i8_gen kern ?par ?tiles ~za ~zb ~epilogue ~m ~n ~k ~a ~ao ~b ~bo ~c ~co ()
 
-let gemm_i8_dequant_with kern ?par ?tiles ~za ~zb ~epilogue ?row0 ~m ~n ~k ~a ~ao ~b ~bo
+let gemm_i8_dequant_with kern ?par ?tiles ~za ~zb ~epilogue ~m ~n ~k ~a ~ao ~b ~bo
     ~(c : Tensor.fbuf) ~co () =
   (match epilogue with
   | Dequant _ -> ()
   | Requant _ -> invalid_arg "Blocked.gemm_i8_dequant: a float destination needs Dequant");
-  let run c = gemm_i8_gen kern ?par ?tiles ~za ~zb ~epilogue ?row0 ~m ~n ~k ~a ~ao ~b ~bo ~c ~co () in
+  let run c = gemm_i8_gen kern ?par ?tiles ~za ~zb ~epilogue ~m ~n ~k ~a ~ao ~b ~bo ~c ~co () in
   match c with Tensor.FB32 c -> run c | Tensor.FB64 c -> run c
 
-(* Quantized im2col: the column matrix is int8 (the 4× footprint shrink
-   is exactly where the conv path was bandwidth-bound) and padding taps
-   hold the INPUT ZERO POINT, not 0 — they must dequantize to 0.0, and
-   the zero-point correction then cancels them exactly. *)
-let conv2d_i8_gen ~zx ~stride ~pad ~dilation ~groups ~(x : Tensor.i8buf) ~xoff
-    ~xdims ~wdims ~run_gemm =
-  let n = xdims.(0) and c = xdims.(1) and h = xdims.(2) and wd = xdims.(3) in
-  let m = wdims.(0) and cg = wdims.(1) and kh = wdims.(2) and kw = wdims.(3) in
-  let sh, sw = stride in
-  let pt, pl, pb, pr = pad in
-  let dh, dw_ = dilation in
-  Linalg.check_conv_groups ~c ~groups ~cg;
-  let oh =
-    Linalg.conv2d_out_dim ~in_:h ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb
-      ~dilation:dh
-  in
-  let ow =
-    Linalg.conv2d_out_dim ~in_:wd ~kernel:kw ~stride:sw ~pad_begin:pl ~pad_end:pr
-      ~dilation:dw_
-  in
-  let mg = m / groups in
-  let kdim = cg * kh * kw in
-  let ndim = oh * ow in
-  if ndim > 0 && kdim > 0 then begin
-    let col = BA1.create Bigarray.int8_signed Bigarray.c_layout (kdim * ndim) in
-    let fill_col ni g =
-      BA1.fill col zx;
-      for ci = 0 to cg - 1 do
-        let cin = (g * cg) + ci in
-        let src_base = xoff + (((ni * c) + cin) * h * wd) in
-        for ky = 0 to kh - 1 do
-          for kx = 0 to kw - 1 do
-            let rbase = ((((ci * kh) + ky) * kw) + kx) * ndim in
-            for oy = 0 to oh - 1 do
-              let iy = (oy * sh) - pt + (ky * dh) in
-              if iy >= 0 && iy < h then begin
-                let sbase = src_base + (iy * wd) in
-                let obase = rbase + (oy * ow) in
-                for ox = 0 to ow - 1 do
-                  let ix = (ox * sw) - pl + (kx * dw_) in
-                  if ix >= 0 && ix < wd then
-                    BA1.unsafe_set col (obase + ox) (BA1.unsafe_get x (sbase + ix))
-                done
-              end
-            done
-          done
-        done
-      done
-    in
-    for ni = 0 to n - 1 do
-      for g = 0 to groups - 1 do
-        fill_col ni g;
-        run_gemm ~ni ~g ~m ~mg ~ndim ~kdim ~col
-      done
-    done
-  end;
+(* Quantized convolution over the same implicit im2col as the float one:
+   padding taps hold the INPUT ZERO POINT, not 0 — they must dequantize to
+   0.0, and the zero-point correction then cancels them exactly.  Epilogue
+   rows are output channels. *)
+let conv2d_i8_gen kern ?(par = sequential) ?(tiles = default_tiles) ~zx ~zw ~epilogue ~stride
+    ~pad ~dilation ~groups ~(x : Tensor.i8buf) ~xoff ~xdims ~(w : Tensor.i8buf) ~woff ~wdims
+    ~(c : ('a, 'b, Bigarray.c_layout) BA1.t) ~co () =
+  let s = conv_shape ~stride ~pad ~dilation ~groups ~xdims ~wdims in
+  let { n; m; mg; oh; ow; kdim; ndim; plane_in; geom } = s in
+  if kdim > max_i8_depth then
+    invalid_arg "Blocked.gemm_i8: depth exceeds 65536 (int32 accumulator range)";
+  check_i8 "input" x xoff (n * groups * plane_in);
+  check_i8 "weights" w woff (m * kdim);
+  if co < 0 || co + (n * m * ndim) > BA1.dim c then
+    invalid_arg "Blocked.gemm_i8: C window outside its buffer";
+  let rq, scales, bias = epilogue_tables ~rows:m epilogue in
+  conv_tiles ~par ~tiles ~groups s (fun ~ni ~g ~i0 ~rows ->
+      kern.iconv w x c rq scales bias
+        (Array.append
+           [|
+             woff + (g * mg * kdim);
+             co + (((ni * m) + (g * mg)) * ndim);
+             ndim; kdim; i0; rows; zw; zx; tiles.tn; g * mg;
+             xoff + (((ni * groups) + g) * plane_in);
+           |]
+           geom));
   [ n; m; oh; ow ]
 
-let conv2d_i8_into ?par ?tiles ~zx ~zw ~epilogue ~stride ~pad ~dilation ~groups ~x ~xoff
-    ~xdims ~(w : Tensor.i8buf) ~woff ~wdims ~(c : Tensor.i8buf) ~co () =
-  conv2d_i8_gen ~zx ~stride ~pad ~dilation ~groups ~x ~xoff ~xdims ~wdims
-    ~run_gemm:(fun ~ni ~g ~m ~mg ~ndim ~kdim ~col ->
-      gemm_i8_with dispatched ?par ?tiles ~za:zw ~zb:zx ~epilogue ~row0:(g * mg) ~m:mg ~n:ndim
-        ~k:kdim ~a:w
-        ~ao:(woff + (g * mg * kdim))
-        ~b:col ~bo:0 ~c
-        ~co:(co + (((ni * m) + (g * mg)) * ndim))
-        ())
+let conv2d_i8_with kern ?par ?tiles ~zx ~zw ~epilogue ~stride ~pad ~dilation ~groups ~x
+    ~xoff ~xdims ~w ~woff ~wdims ~(c : Tensor.i8buf) ~co () =
+  (match epilogue with
+  | Requant _ -> ()
+  | Dequant _ -> invalid_arg "Blocked.conv2d_i8: an int8 destination needs a Requant epilogue");
+  conv2d_i8_gen kern ?par ?tiles ~zx ~zw ~epilogue ~stride ~pad ~dilation ~groups ~x ~xoff
+    ~xdims ~w ~woff ~wdims ~c ~co ()
+
+let conv2d_i8_into ?par = conv2d_i8_with dispatched ?par
 
 let conv2d_i8_dequant_into ?par ?tiles ~zx ~zw ~epilogue ~stride ~pad ~dilation ~groups
-    ~x ~xoff ~xdims ~(w : Tensor.i8buf) ~woff ~wdims ~(c : Tensor.fbuf) ~co () =
-  conv2d_i8_gen ~zx ~stride ~pad ~dilation ~groups ~x ~xoff ~xdims ~wdims
-    ~run_gemm:(fun ~ni ~g ~m ~mg ~ndim ~kdim ~col ->
-      gemm_i8_dequant_with dispatched ?par ?tiles ~za:zw ~zb:zx ~epilogue ~row0:(g * mg)
-        ~m:mg ~n:ndim ~k:kdim ~a:w
-        ~ao:(woff + (g * mg * kdim))
-        ~b:col ~bo:0 ~c
-        ~co:(co + (((ni * m) + (g * mg)) * ndim))
-        ())
+    ~x ~xoff ~xdims ~w ~woff ~wdims ~(c : Tensor.fbuf) ~co () =
+  (match epilogue with
+  | Dequant _ -> ()
+  | Requant _ -> invalid_arg "Blocked.conv2d_i8_dequant: a float destination needs Dequant");
+  let run c =
+    conv2d_i8_gen dispatched ?par ?tiles ~zx ~zw ~epilogue ~stride ~pad ~dilation ~groups ~x
+      ~xoff ~xdims ~w ~woff ~wdims ~c ~co ()
+  in
+  match c with Tensor.FB32 c -> run c | Tensor.FB64 c -> run c
 
-let gemm_i8 ?par ?tiles = gemm_i8_with dispatched ?par ?tiles ?row0:None
-let gemm_i8_dequant ?par ?tiles = gemm_i8_dequant_with dispatched ?par ?tiles ?row0:None
+let gemm_i8 ?par ?tiles = gemm_i8_with dispatched ?par ?tiles
+let gemm_i8_dequant ?par ?tiles = gemm_i8_dequant_with dispatched ?par ?tiles
 
 module For_testing = struct
   let gemm_portable ?par = gemm_with portable ?par
   let conv2d_im2col_into_portable ?par = conv2d_im2col_with portable ?par
-  let gemm_i8_portable ?par ?tiles = gemm_i8_with portable ?par ?tiles ?row0:None
-  let gemm_i8_dequant_portable ?par ?tiles =
-    gemm_i8_dequant_with portable ?par ?tiles ?row0:None
+  let gemm_i8_portable ?par ?tiles = gemm_i8_with portable ?par ?tiles
+  let gemm_i8_dequant_portable ?par ?tiles = gemm_i8_dequant_with portable ?par ?tiles
+  let conv2d_i8_into_portable ?par = conv2d_i8_with portable ?par
 end
 
 let conv2d_im2col ?par ?tiles ?epilogue ~stride ~pad ~dilation ~groups x w bias =
-  let dx = Tensor.dims_arr x and dw = Tensor.dims_arr w in
-  let sh, sw = stride in
-  let pt, pl, pb, pr = pad in
-  let dh, dw_ = dilation in
-  let oh =
-    Linalg.conv2d_out_dim ~in_:dx.(2) ~kernel:dw.(2) ~stride:sh ~pad_begin:pt
-      ~pad_end:pb ~dilation:dh
-  in
-  let ow =
-    Linalg.conv2d_out_dim ~in_:dx.(3) ~kernel:dw.(3) ~stride:sw ~pad_begin:pl
-      ~pad_end:pr ~dilation:dw_
+  let { n; m; oh; ow; _ } =
+    conv_shape ~stride ~pad ~dilation ~groups ~xdims:(Tensor.dims_arr x)
+      ~wdims:(Tensor.dims_arr w)
   in
   let odt =
     if Tensor.dtype x = Tensor.F64 || Tensor.dtype w = Tensor.F64 then Tensor.F64
     else Tensor.F32
   in
-  let out = Tensor.zeros odt [ dx.(0); dw.(0); oh; ow ] in
+  let out = Tensor.zeros odt [ n; m; oh; ow ] in
   ignore
     (conv2d_im2col_into ?par ?tiles ?epilogue ~stride ~pad ~dilation ~groups
        (Tensor.view_f x) (Tensor.view_f w)

@@ -1,5 +1,5 @@
-(** Cache-blocked, register-tiled GEMM and im2col convolution — the "real"
-    multi-version kernel backend (§4.4.2).
+(** Cache-blocked, register-tiled GEMM and implicit-im2col convolution —
+    the "real" multi-version kernel backend (§4.4.2).
 
     The naive loop nests in {!Linalg} remain the bit-exact reference; this
     module provides the optimized variants the autotuner's tile/thread
@@ -11,9 +11,11 @@
       row quads and keeps a 4×16 register micro-tile of double chains over
       the full depth, reading B straight from its row-major storage, and
       applies an optional typed write-back program ({!f_epilogue});
-    - {!conv2d_im2col} lowers convolution (grouped, strided, dilated,
-      padded) onto that GEMM by materializing the im2col column matrix per
-      (image, group).
+    - {!conv2d_im2col} runs convolution (grouped, strided, dilated,
+      padded) as that GEMM per (image, group) over the im2col matrix of
+      the input without ever storing it: for each column block the tile
+      gathers the block's panel straight from the NCHW input, and every
+      row quad reuses it.  The int8 convolution shares the gather.
 
     The C kernels are built once per instruction set (x86-64-v4, x86-64-v3
     and baseline) from one source; the loader picks the widest one the CPU
@@ -137,11 +139,11 @@ val conv2d_im2col :
   stride:int * int -> pad:int * int * int * int -> dilation:int * int ->
   groups:int -> Tensor.t -> Tensor.t -> Tensor.t option -> Tensor.t
 (** Drop-in replacement for {!Linalg.conv2d}: same NCHW/OIHW layouts, same
-    validation, same output; internally each (image, group) pair becomes a
-    [mg × (oh·ow) × (cg·kh·kw)] GEMM over the packed column matrix.
-    [epilogue] is forwarded to the underlying {!gemm} write-back with flat
-    indices into the NCHW output (it never runs if the output or kernel
-    volume is empty). *)
+    validation, same output; internally each (image, group) pair is a
+    [mg × (oh·ow) × (cg·kh·kw)] GEMM over the implicit im2col matrix, with
+    the bits of the explicit im2col GEMM.  [epilogue] runs at the tile's
+    write-back with flat indices into the NCHW output (it never runs if
+    the output is empty). *)
 
 (** {1 Int8 path}
 
@@ -151,7 +153,8 @@ val conv2d_im2col :
     accumulator exists exactly once, at write-back, where the epilogue
     consumes it.  No int32 intermediate is ever materialized.
 
-    Both operands are widened to int16 (B transposed once per call) and
+    Both operands are widened to int16 (B transposed once per call, or
+    one column block at a time for a convolution) and
     every output is an exact int32 dot product; zero points are handled
     by the row/column-sum correction [Σ(a-za)(b-zb) = Σab − zb·Σa − za·Σb
     + k·za·zb], so the epilogue always sees the exact zero-point-corrected
@@ -193,8 +196,8 @@ val conv2d_i8_into :
   groups:int -> x:Tensor.i8buf -> xoff:int -> xdims:int array ->
   w:Tensor.i8buf -> woff:int -> wdims:int array ->
   c:Tensor.i8buf -> co:int -> unit -> int list
-(** Quantized im2col convolution (NCHW/OIHW, grouped/strided/dilated/
-    padded like {!conv2d_im2col_into}), int8 destination.  [zx]/[zw] are
+(** Quantized implicit-im2col convolution (NCHW/OIHW, grouped/strided/
+    dilated/padded like {!conv2d_im2col_into}), int8 destination.  [zx]/[zw] are
     the input/weight zero points; padding taps hold [zx] so they
     dequantize to zero.  Epilogue rows are output channels.  Returns the
     output dims [N;M;Oh;Ow]. *)
@@ -245,4 +248,11 @@ module For_testing : sig
     ?par:par -> ?tiles:tiles -> za:int -> zb:int -> epilogue:i8_epilogue ->
     m:int -> n:int -> k:int -> a:Tensor.i8buf -> ao:int -> b:Tensor.i8buf -> bo:int ->
     c:Tensor.fbuf -> co:int -> unit -> unit
+
+  val conv2d_i8_into_portable :
+    ?par:par -> ?tiles:tiles -> zx:int -> zw:int -> epilogue:i8_epilogue ->
+    stride:int * int -> pad:int * int * int * int -> dilation:int * int ->
+    groups:int -> x:Tensor.i8buf -> xoff:int -> xdims:int array ->
+    w:Tensor.i8buf -> woff:int -> wdims:int array ->
+    c:Tensor.i8buf -> co:int -> unit -> int list
 end

@@ -1,4 +1,5 @@
-/* SIMD tile kernels behind Blocked.gemm and the int8 GEMM.
+/* SIMD tile kernels behind Blocked.gemm, the convolutions, the int8 GEMM
+   and the pools.
 
    One source, several instruction sets: the hot drivers are written once
    with GCC generic vector types and compiled as target clones
@@ -26,11 +27,23 @@
    evaluation order of the OCaml element functions it replaces
    (Op_semantics), so the stored bits are the op-by-op bits.
 
-   Int8 tile.  Operands are widened to int16 and B is transposed once per
-   call, so the depth loop is a plain dot product that the vectorizer
-   turns into pmaddwd; sums are exact in int32 for depths up to 65536.
-   The zero-point correction and the requantize / dequantize epilogue run
-   at write-back in int64 / double. */
+   Implicit im2col.  A convolution of one (image, group) is the GEMM of
+   its weights with the im2col matrix of its input.  That matrix is never
+   stored: for each column block a tile gathers the block's panel (depth
+   x block) straight from the NCHW input, and every row quad of the tile
+   reuses it.  The panel holds exactly the values the column matrix held,
+   in the same depth order, so the result is the im2col GEMM's, bit for
+   bit.  The float and int8 tiles share one gather.
+
+   Int8 tile.  Operands are widened to int16 and B is transposed (once per
+   call, or per column block for a convolution), so the depth loop is a
+   plain dot product that the vectorizer turns into pmaddwd; sums are
+   exact in int32 for depths up to 65536.  The zero-point correction and
+   the requantize / dequantize epilogue run at write-back in int64 /
+   double.
+
+   Pools.  MaxPool and AveragePool are one loop each over the NCHW input,
+   in double, rounded once at the store. */
 
 #define CAML_NAME_SPACE
 #include <caml/alloc.h>
@@ -71,7 +84,7 @@ struct scratch {
   void *p;
   size_t cap;
 };
-enum { SCR_A, SCR_TAIL, SCR_EP, SCR_X, SCR_COUNT };
+enum { SCR_A, SCR_TAIL, SCR_EP, SCR_X, SCR_PANEL, SCR_COUNT };
 
 static pthread_key_t scratch_key;
 static pthread_once_t scratch_once = PTHREAD_ONCE_INIT;
@@ -96,6 +109,7 @@ static void *scratch(int slot, size_t bytes)
     if (s == NULL || pthread_setspecific(scratch_key, s) != 0) caml_raise_out_of_memory();
   }
   struct scratch *e = &s[slot];
+  if (bytes == 0) bytes = 64; /* a valid pointer even for empty operands */
   if (bytes > e->cap) {
     size_t cap = (bytes + 4095) & ~(size_t)4095;
     free(e->p);
@@ -107,6 +121,72 @@ static void *scratch(int slot, size_t bytes)
 }
 
 /* ------------------------------------------------------------------ */
+/* Implicit im2col                                                     */
+
+/* One (image, group) convolution as a GEMM.  Its B operand is the im2col
+   matrix of the group's input planes [x] (cg planes of h x w): depth
+   p = (ci*kh + ky)*kw + kx, column j = oy*ow + ox, and
+     B[p, j] = x[ci][oy*sh - pt + ky*dh][ox*sw - pl + kx*dw]
+   where that tap lies inside the plane, the padding value elsewhere. */
+struct conv_geom {
+  const void *x;
+  long h, w, cg, kh, kw, sh, sw, pt, pl, dh, dw, ow;
+};
+
+/* Read the geometry [| h; w; cg; kh; kw; sh; sw; pt; pl; dh; dw; ow |] at
+   [vp.(at)]. */
+static void decode_geom(value vp, long at, struct conv_geom *G)
+{
+#define GEOM(i) Long_val(Field(vp, at + (i)))
+  G->h = GEOM(0); G->w = GEOM(1); G->cg = GEOM(2); G->kh = GEOM(3); G->kw = GEOM(4);
+  G->sh = GEOM(5); G->sw = GEOM(6); G->pt = GEOM(7); G->pl = GEOM(8);
+  G->dh = GEOM(9); G->dw = GEOM(10); G->ow = GEOM(11);
+#undef GEOM
+}
+
+/* [IM2COL(NAME, ST, DT)] gathers columns [j0, j1) of B, read as ST and
+   stored as DT, into [dst]: element (p, j) at dst[p*ldp + (j - j0)*ldj].
+   The float tiles take row-major panels (ldj = 1), the int8 tile
+   transposed ones (ldp = 1).  Each depth row is walked one output row at
+   a time: the taps inside the plane form one strided run, the rest hold
+   [padv]. */
+#define IM2COL(NAME, ST, DT)                                                   \
+  INLINE void NAME(const struct conv_geom *G, long j0, long j1, DT *dst,       \
+                   long ldp, long ldj, DT padv)                                \
+  {                                                                            \
+    const ST *x = G->x;                                                        \
+    long h = G->h, w = G->w, sw = G->sw, p = 0;                                \
+    for (long ci = 0; ci < G->cg; ci++)                                        \
+      for (long ky = 0; ky < G->kh; ky++)                                      \
+        for (long kx = 0; kx < G->kw; kx++, p++) {                             \
+          long oy = j0 / G->ow, ox = j0 % G->ow;                               \
+          for (long j = j0, run; j < j1; j += run, oy++, ox = 0) {             \
+            run = lmin(G->ow - ox, j1 - j);                                    \
+            DT *o = dst + p * ldp + (j - j0) * ldj;                            \
+            long iy = oy * G->sh - G->pt + ky * G->dh;                         \
+            long lo = run, hi = run;                                           \
+            if (iy >= 0 && iy < h) {                                           \
+              long ix0 = ox * sw - G->pl + kx * G->dw;                         \
+              lo = lmin(run, ix0 >= 0 ? 0 : (sw - 1 - ix0) / sw);              \
+              hi = lmin(run, ix0 >= w ? 0 : (w - ix0 + sw - 1) / sw);          \
+              if (hi < lo) hi = lo;                                            \
+              const ST *s = x + (ci * h + iy) * w;                             \
+              if (ldj == 1 && sw == 1)                                         \
+                for (long t = lo; t < hi; t++) o[t] = (DT)s[ix0 + t];          \
+              else                                                             \
+                for (long t = lo; t < hi; t++) o[t * ldj] = (DT)s[ix0 + t * sw]; \
+            }                                                                  \
+            for (long t = 0; t < lo; t++) o[t * ldj] = padv;                   \
+            for (long t = hi; t < run; t++) o[t * ldj] = padv;                 \
+          }                                                                    \
+        }                                                                      \
+  }
+
+IM2COL(im2col_f32, float, float)
+IM2COL(im2col_f64, double, double)
+IM2COL(im2col_i8, int8_t, int16_t)
+
+/* ------------------------------------------------------------------ */
 /* Float tile                                                          */
 
 typedef double v8d __attribute__((vector_size(64)));
@@ -115,6 +195,8 @@ typedef float v8f __attribute__((vector_size(32)));
 struct fjob {
   const double *ap;   /* A quads: element (q, p, r) at [(q*k + p)*4 + r] */
   const void *b;      /* B at its first element, row stride n */
+  const struct conv_geom *conv; /* non-NULL: B is that implicit im2col matrix */
+  void *panel;        /* and this is its k x tn panel of the current block */
   const void *btail;  /* last partial column strip of B, k x 16, or NULL */
   long jtail;         /* first column of that strip */
   void *c;            /* C at element 0 */
@@ -140,12 +222,14 @@ INLINE void fstore(const struct fjob *J, long ci, long ei, double acc)
   }
 }
 
-/* [FTILE(NAME, BT, VB)] defines the tile driver for B elements of type
-   BT (VB = 8 of them).  The 4x16 micro-tile keeps its 64 chains in eight
-   8-lane double vectors for the whole depth; only the write-back touches
-   C.  Column blocks of width tn keep a B strip cache-resident while every
-   row quad of the tile passes over it. */
-#define FTILE(NAME, BT, VB)                                                      \
+/* [FTILE(NAME, BT, VB, GATHER)] defines the tile driver for B elements of
+   type BT (VB = 8 of them).  The 4x16 micro-tile keeps its 64 chains in
+   eight 8-lane double vectors for the whole depth; only the write-back
+   touches C.  Column blocks of width tn keep a B strip cache-resident
+   while every row quad of the tile passes over it; for a convolution
+   that strip is the panel GATHER builds, zero-padded to whole
+   micro-tiles. */
+#define FTILE(NAME, BT, VB, GATHER)                                              \
   INLINE void NAME##_micro(const double *ap, const BT *bp, long ldb, long k,     \
                            v8d acc[8])                                           \
   {                                                                              \
@@ -172,10 +256,23 @@ INLINE void fstore(const struct fjob *J, long ci, long ei, double acc)
   }                                                                              \
   INLINE void NAME##_body(const struct fjob *J)                                  \
   {                                                                              \
-    const BT *b = J->b;                                                          \
     long nq = (J->rows + 3) / 4;                                                 \
     for (long jb = J->j0; jb < J->j1; jb += J->tn) {                             \
       long je = lmin(jb + J->tn, J->j1);                                         \
+      const BT *b; /* column jb of B, row stride ldb */                          \
+      long ldb;                                                                  \
+      if (!J->conv) {                                                            \
+        b = (const BT *)J->b + jb;                                               \
+        ldb = J->n;                                                              \
+      } else {                                                                   \
+        BT *pn = J->panel;                                                       \
+        long wp = (je - jb + 15) / 16 * 16;                                      \
+        GATHER(J->conv, jb, je, pn, J->tn, 1, (BT)0);                            \
+        for (long p = 0; p < J->k; p++)                                          \
+          for (long t = je - jb; t < wp; t++) pn[p * J->tn + t] = 0;             \
+        b = pn;                                                                  \
+        ldb = J->tn;                                                             \
+      }                                                                          \
       for (long q = 0; q < nq; q++) {                                            \
         const double *ap = J->ap + q * J->k * 4;                                 \
         long rn = lmin(4, J->rows - q * 4);                                      \
@@ -186,7 +283,7 @@ INLINE void fstore(const struct fjob *J, long ci, long ei, double acc)
           if (j >= J->jtail && J->btail)                                         \
             NAME##_micro(ap, (const BT *)J->btail, 16, J->k, acc);               \
           else                                                                   \
-            NAME##_micro(ap, b + j, J->n, J->k, acc);                            \
+            NAME##_micro(ap, b + (j - jb), ldb, J->k, acc);                      \
           long ci = J->co + i * J->n + j;                                        \
           if (w == 16 && J->ep) {                                                \
             long ei = (i - J->i0) * J->ep_ld + (j - J->j0);                      \
@@ -247,14 +344,14 @@ INLINE void fstore(const struct fjob *J, long ci, long ei, double acc)
   void NAME##_portable(const struct fjob *J) { NAME##_body(J); }
 
 /* A f64 or mixed kinds: no contraction (-ffp-contract=off). */
-FTILE(ftile_b32, float, v8f)
-FTILE(ftile_b64, double, v8d)
+FTILE(ftile_b32, float, v8f, im2col_f32)
+FTILE(ftile_b64, double, v8d, im2col_f64)
 
 /* A and B both f32: products are exact, so contraction cannot change a
    single bit and the FMA clones may use it. */
 #pragma GCC push_options
 #pragma GCC optimize("fp-contract=fast")
-FTILE(ftile_f32, float, v8f)
+FTILE(ftile_f32, float, v8f, im2col_f32)
 #pragma GCC pop_options
 
 typedef void (*ftile_fn)(const struct fjob *);
@@ -539,9 +636,12 @@ static int decode_epilogue(value vep, struct fstep *S)
 /* [gemm_f a b c ep params portable]: one row tile of Blocked.gemm.  [a],
    [b], [c] are Tensor.fbuf values (FB32/FB64 of a Bigarray); [ep] is a
    packed float epilogue (no steps: plain store).  params = [| ao; bo; co;
-   n; k; i0; rows; tn; ep_off |].  The caller has checked the bounds.
-   Everything read from OCaml values is read before the runtime lock is
-   released; Bigarray data never moves. */
+   n; k; i0; rows; tn; ep_off |], optionally followed by a convolution
+   geometry (decode_geom): then [b] is the NCHW input, [bo] the first
+   element of the group's planes, and B their implicit im2col matrix.
+   The caller has checked the bounds.  Everything read from OCaml values
+   is read before the runtime lock is released; Bigarray data never
+   moves. */
 static value gemm_f(value va, value vb, value vc, value vep, value vp, int portable)
 {
   CAMLparam5(va, vb, vc, vep, vp);
@@ -570,7 +670,17 @@ static value gemm_f(value va, value vb, value vc, value vep, value vp, int porta
   long nq = (J.rows + 3) / 4;
   double *ap = scratch(SCR_A, (size_t)nq * 4 * J.k * sizeof(double));
   J.ap = ap;
+  struct conv_geom G;
+  J.conv = NULL;
+  J.panel = NULL;
   long wtail = J.n % 16;
+  if (Wosize_val(vp) > 9) {
+    decode_geom(vp, 9, &G);
+    G.x = J.b;
+    J.conv = &G;
+    J.panel = scratch(SCR_PANEL, (size_t)J.k * J.tn * bsize);
+    wtail = 0; /* the panels are zero-padded to whole micro-tiles */
+  }
   J.jtail = J.n - wtail;
   char *tail = wtail ? scratch(SCR_TAIL, (size_t)J.k * 16 * bsize) : NULL;
   J.btail = tail;
@@ -621,6 +731,9 @@ struct ijob {
   const int32_t *asum;
   const int16_t *bt;  /* B transposed, widened: column j at [j*k] */
   const int32_t *bsum;
+  const struct conv_geom *conv; /* non-NULL: B is that implicit matrix */
+  int16_t *panel;     /* (padding zb); its panel of the current block, */
+  int32_t *psum;      /* transposed like bt, and the panel's column sums */
   long n, k, i0, rows, tn;
   int64_t za, zb;
   void *c;
@@ -643,13 +756,13 @@ struct ijob {
    - saturate to int32, then SaturatingRoundingDoublingHighMul by qm
      (its int32_min * int32_min corner cannot occur: qm >= 0);
    - RoundingDivideByPOT by [right], add the zero point, clamp. */
-INLINE void irow_store(const struct ijob *J, long i, long j0, long w, const int32_t *raw)
+INLINE void irow_store(const struct ijob *J, long i, long j0, long w, const int32_t *raw,
+                       const int32_t *bs)
 {
   long er = J->ep_rows == 1 ? 0 : J->row0 + J->i0 + i;
   long ci = J->co + (J->i0 + i) * J->n + j0;
   int64_t rowterm = J->k * J->za * J->zb - J->zb * J->asum[i];
   int64_t za = J->za;
-  const int32_t *bs = J->bsum + j0;
   if (J->dst == DST_I8) {
     int64_t qm = J->rq[3 * er], shift = J->rq[3 * er + 1], zp = J->rq[3 * er + 2];
     int64_t left = shift > 0 ? shift : 0, right = shift > 0 ? 0 : -shift;
@@ -712,24 +825,41 @@ INLINE void idot4x4(const int16_t *restrict a0, const int16_t *restrict a1,
    pass.  Edge blocks reuse the last valid row / column pointer and store
    only the valid results. */
 #define ITN 256
+INLINE long itile_tn(long tn) { return lmin(ITN, (tn + 3) / 4 * 4); }
 INLINE void itile_body(const struct ijob *J)
 {
-  long k = J->k, tn = lmin(ITN, (J->tn + 3) / 4 * 4);
+  long k = J->k, tn = itile_tn(J->tn);
   int32_t raw[4][ITN];
   for (long jb = 0; jb < J->n; jb += tn) {
     long je = lmin(jb + tn, J->n);
+    const int16_t *bt; /* column jb of B */
+    const int32_t *bs;
+    if (!J->conv) {
+      bt = J->bt + jb * k;
+      bs = J->bsum + jb;
+    } else {
+      im2col_i8(J->conv, jb, je, J->panel, 1, k, (int16_t)J->zb);
+      for (long t = 0; t < je - jb; t++) {
+        int32_t s = 0;
+        for (long p = 0; p < k; p++) s += J->panel[t * k + p];
+        J->psum[t] = s;
+      }
+      bt = J->panel;
+      bs = J->psum;
+    }
     for (long i = 0; i < J->rows; i += 4) {
       const int16_t *a[4];
       for (int r = 0; r < 4; r++) a[r] = J->at + lmin(i + r, J->rows - 1) * k;
       for (long j = jb; j < je; j += 4) {
         const int16_t *b[4];
-        for (int c = 0; c < 4; c++) b[c] = J->bt + lmin(j + c, J->n - 1) * k;
+        for (int c = 0; c < 4; c++) b[c] = bt + (lmin(j + c, J->n - 1) - jb) * k;
         int32_t s[16];
         idot4x4(a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3], k, s);
         for (int r = 0; r < 4; r++)
           for (int c = 0; c < 4; c++) raw[r][j - jb + c] = s[r * 4 + c];
       }
-      for (long r = 0; r < lmin(4, J->rows - i); r++) irow_store(J, i + r, jb, je - jb, raw[r]);
+      for (long r = 0; r < lmin(4, J->rows - i); r++)
+        irow_store(J, i + r, jb, je - jb, raw[r], bs);
     }
   }
 }
@@ -783,7 +913,10 @@ value sod2_i8_pack_b(value vb, value vbo, value vn, value vk, value vdst)
    int8 GEMM.  [c] is an int8 Bigarray (requantize with [rq], flattened
    (qm, shift, zp) triples) or a float Bigarray (dequantize with [scale]
    and, when non-empty, [bias]).  params = [| ao; co; n; k; i0; rows; za;
-   zb; tn; row0 |]. */
+   zb; tn; row0 |], optionally followed by [bo] and a convolution geometry
+   (decode_geom): then [packed] is the int8 NCHW input, [bo] the first
+   element of the group's planes, and B their implicit im2col matrix with
+   padding taps holding [zb]. */
 static value i8_tile(value va, value vpk, value vc, value vrq, value vscale, value vbias,
                      value vp, int portable)
 {
@@ -807,8 +940,6 @@ static value i8_tile(value va, value vpk, value vc, value vrq, value vscale, val
   case CAML_BA_FLOAT32: J.dst = DST_F32; break;
   default: J.dst = DST_F64; break;
   }
-  J.bt = Caml_ba_data_val(vpk);
-  J.bsum = (const int32_t *)(J.bt + J.n * J.k);
   /* The epilogue tables are OCaml heap values that a collection on
      another domain may move once the runtime lock is released, so they
      are copied out first. */
@@ -835,6 +966,23 @@ static value i8_tile(value va, value vpk, value vc, value vrq, value vscale, val
     for (long i = 0; i < nbias; i++) d[nsc + i] = Double_flat_field(vbias, i);
     J.scale = d;
     J.bias = nbias ? d + nsc : NULL;
+  }
+  struct conv_geom G;
+  J.conv = NULL;
+  J.bt = NULL;
+  J.bsum = NULL;
+  if (Wosize_val(vp) > 10) {
+    decode_geom(vp, 11, &G);
+    G.x = (const int8_t *)Caml_ba_data_val(vpk) + Long_val(Field(vp, 10));
+    J.conv = &G;
+    long tn = itile_tn(J.tn);
+    size_t pb = ((size_t)tn * J.k * sizeof(int16_t) + 63) & ~(size_t)63;
+    char *pn = scratch(SCR_PANEL, pb + (size_t)tn * sizeof(int32_t));
+    J.panel = (int16_t *)pn;
+    J.psum = (int32_t *)(pn + pb);
+  } else {
+    J.bt = Caml_ba_data_val(vpk);
+    J.bsum = (const int32_t *)(J.bt + J.n * J.k);
   }
   const int8_t *a = (const int8_t *)Caml_ba_data_val(va) + ao;
   caml_enter_blocking_section();
@@ -863,6 +1011,111 @@ value sod2_i8_tile_portable_byte(value *argv, int argn)
   (void)argn;
   return i8_tile(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6], 1);
 }
+
+/* ------------------------------------------------------------------ */
+/* Pools                                                               */
+
+struct pjob {
+  const void *x;  /* input at its first element */
+  void *c;        /* output at its first element */
+  int avg;
+  long planes, h, w, oh, ow, kh, kw, sh, sw, pt, pl;
+};
+
+/* [POOL(NAME, ST, DT)] pools ST planes into DT planes.  Max starts at
+   -inf and takes a tap only when [v > acc], so the first of equal values
+   wins and NaN taps are skipped; Avg sums the in-bounds taps in ascending
+   (ky, kx) order and divides by their count.  A window without an
+   in-bounds tap gives 0.  Everything runs in double; the store rounds. */
+#define POOL(NAME, ST, DT)                                                       \
+  INLINE void NAME(const struct pjob *P)                                         \
+  {                                                                              \
+    for (long q = 0; q < P->planes; q++) {                                       \
+      const ST *x = (const ST *)P->x + q * P->h * P->w;                          \
+      DT *c = (DT *)P->c + q * P->oh * P->ow;                                    \
+      for (long oy = 0; oy < P->oh; oy++) {                                      \
+        long y0 = oy * P->sh - P->pt;                                            \
+        long ky0 = y0 < 0 ? -y0 : 0, ky1 = lmin(P->kh, P->h - y0);               \
+        for (long ox = 0; ox < P->ow; ox++) {                                    \
+          long x0 = ox * P->sw - P->pl;                                          \
+          long kx0 = x0 < 0 ? -x0 : 0, kx1 = lmin(P->kw, P->w - x0);             \
+          double v = 0.0;                                                        \
+          if (ky1 > ky0 && kx1 > kx0) {                                          \
+            double acc = P->avg ? 0.0 : -INFINITY;                               \
+            for (long ky = ky0; ky < ky1; ky++) {                                \
+              const ST *row = x + (y0 + ky) * P->w;                              \
+              if (P->avg)                                                        \
+                for (long kx = kx0; kx < kx1; kx++) acc = acc + row[x0 + kx];    \
+              else                                                               \
+                for (long kx = kx0; kx < kx1; kx++) {                            \
+                  double t = row[x0 + kx];                                       \
+                  if (t > acc) acc = t;                                          \
+                }                                                                \
+            }                                                                    \
+            v = P->avg ? acc / (double)((ky1 - ky0) * (kx1 - kx0)) : acc;        \
+          }                                                                      \
+          c[oy * P->ow + ox] = (DT)v;                                            \
+        }                                                                        \
+      }                                                                          \
+    }                                                                            \
+  }
+
+POOL(pool_ff, float, float)
+POOL(pool_fd, float, double)
+POOL(pool_df, double, float)
+POOL(pool_dd, double, double)
+
+INLINE void pool_body(const struct pjob *P, int x32, int c32)
+{
+  if (x32) {
+    if (c32) pool_ff(P); else pool_fd(P);
+  } else {
+    if (c32) pool_df(P); else pool_dd(P);
+  }
+}
+
+SOD2_CLONES static void pool_run(const struct pjob *P, int x32, int c32)
+{
+  pool_body(P, x32, c32);
+}
+static void pool_run_portable(const struct pjob *P, int x32, int c32)
+{
+  pool_body(P, x32, c32);
+}
+
+/* [pool2d x c params]: [x] and [c] are Tensor.fbuf values; params = [|
+   avg; xo; co; planes; h; w; oh; ow; kh; kw; sh; sw; pt; pl |].  The
+   caller has checked the windows. */
+static value pool2d(value vx, value vc, value vp, int portable)
+{
+  CAMLparam3(vx, vc, vp);
+  value x = Field(vx, 0), c = Field(vc, 0);
+  struct pjob P;
+  int x32 = ba_f32(x), c32 = ba_f32(c);
+  long xo = Long_val(Field(vp, 1)), co = Long_val(Field(vp, 2));
+  P.avg = Long_val(Field(vp, 0)) != 0;
+  P.planes = Long_val(Field(vp, 3));
+  P.h = Long_val(Field(vp, 4));
+  P.w = Long_val(Field(vp, 5));
+  P.oh = Long_val(Field(vp, 6));
+  P.ow = Long_val(Field(vp, 7));
+  P.kh = Long_val(Field(vp, 8));
+  P.kw = Long_val(Field(vp, 9));
+  P.sh = Long_val(Field(vp, 10));
+  P.sw = Long_val(Field(vp, 11));
+  P.pt = Long_val(Field(vp, 12));
+  P.pl = Long_val(Field(vp, 13));
+  P.x = (const char *)Caml_ba_data_val(x) + xo * (x32 ? sizeof(float) : sizeof(double));
+  P.c = (char *)Caml_ba_data_val(c) + co * (c32 ? sizeof(float) : sizeof(double));
+  caml_enter_blocking_section();
+  if (portable) pool_run_portable(&P, x32, c32);
+  else pool_run(&P, x32, c32);
+  caml_leave_blocking_section();
+  CAMLreturn(Val_unit);
+}
+
+value sod2_pool2d(value x, value c, value p) { return pool2d(x, c, p, 0); }
+value sod2_pool2d_portable(value x, value c, value p) { return pool2d(x, c, p, 1); }
 
 /* ------------------------------------------------------------------ */
 /* Which clone the loader picked                                       */

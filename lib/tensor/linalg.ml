@@ -1,5 +1,20 @@
-let conv2d_out_dim ~in_ ~kernel ~stride ~pad_begin ~pad_end ~dilation =
-  ((in_ + pad_begin + pad_end - (((kernel - 1) * dilation) + 1)) / stride) + 1
+(* The ONNX extent rule with floor division, as [Shape_fn] predicts it: a
+   window just wider than the padded input gives 0, a wider one no valid
+   output at all. *)
+let window_out_dim ~op ~in_ ~kernel ~stride ~pad_begin ~pad_end ~dilation =
+  if kernel < 1 || stride < 1 || dilation < 1 then
+    Sod2_error.failf ~op Sod2_error.Shape_mismatch
+      "kernel %d, stride %d and dilation %d must be at least 1" kernel stride dilation;
+  let span = in_ + pad_begin + pad_end - (((kernel - 1) * dilation) + 1) in
+  let q = span / stride in
+  let out = (if span < 0 && q * stride <> span then q - 1 else q) + 1 in
+  if out < 0 then
+    Sod2_error.failf ~op Sod2_error.Shape_mismatch
+      "window of %d wider than the padded input of %d" (((kernel - 1) * dilation) + 1)
+      (in_ + pad_begin + pad_end);
+  out
+
+let conv2d_out_dim = window_out_dim ~op:"Conv"
 
 module BA1 = Bigarray.Array1
 
@@ -357,9 +372,7 @@ let conv1d ?(stride = 1) ?(pad = (0, 0)) ?(dilation = 1) ?(groups = 1) x w b =
 
 let pool_err op fmt = Sod2_error.failf ~op Sod2_error.Shape_mismatch fmt
 
-(* Windows are vetted once (the loops below read and write unchecked),
-   and each (image, channel) plane goes through a double scratch, as in
-   the strided kernels of {!Reduction}. *)
+(* Windows are vetted once: the loops below read and write unchecked. *)
 let check_windows op x c co n_out =
   Reduction.check_src op x;
   Reduction.check_dst op c co n_out
@@ -369,19 +382,28 @@ let pool_out_dims ~kernel ~stride ~pad (d : int array) =
     pool_err op "pooling expects an N×C×H×W input, got rank %d" (Array.length d);
   let kh, kw = kernel and sh, sw = stride in
   let pt, pl, pb, pr = pad in
-  if kh <= 0 || kw <= 0 || sh <= 0 || sw <= 0 then
-    pool_err op "pooling kernel %dx%d and stride %dx%d must be positive" kh kw sh sw;
-  let oh = conv2d_out_dim ~in_:d.(2) ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb ~dilation:1 in
-  let ow = conv2d_out_dim ~in_:d.(3) ~kernel:kw ~stride:sw ~pad_begin:pl ~pad_end:pr ~dilation:1 in
-  if oh < 0 || ow < 0 then pool_err op "pooling window larger than the padded input";
+  let oh =
+    window_out_dim ~op ~in_:d.(2) ~kernel:kh ~stride:sh ~pad_begin:pt ~pad_end:pb ~dilation:1
+  in
+  let ow =
+    window_out_dim ~op ~in_:d.(3) ~kernel:kw ~stride:sw ~pad_begin:pl ~pad_end:pr ~dilation:1
+  in
   [ d.(0); d.(1); oh; ow ]
 
-(* One pass per (image, channel) plane.  Max keeps the first of equal
-   values and skips NaN ([v > acc] from -inf); Avg sums the in-bounds taps
-   in ascending (ky, kx) order and divides by their count (padding is
-   excluded).  A window with no in-bounds tap gives 0. *)
-let pool2d_into ~kind ~kernel ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) (x : Tensor.view) ~c
-    ~co =
+(* [pool2d_c x c params]: the pooling loop of gemm_stubs.c, params = [| avg;
+   xo; co; planes; h; w; oh; ow; kh; kw; sh; sw; pt; pl |]. *)
+external pool2d_c : Tensor.fbuf -> Tensor.fbuf -> int array -> unit = "sod2_pool2d"
+
+external pool2d_c_portable : Tensor.fbuf -> Tensor.fbuf -> int array -> unit
+  = "sod2_pool2d_portable"
+
+(* One C loop over every (image, channel) plane.  Max keeps the first of
+   equal values and skips NaN ([v > acc] from -inf); Avg sums the
+   in-bounds taps in ascending (ky, kx) order in double and divides by
+   their count (padding is excluded).  A window with no in-bounds tap
+   gives 0.  The store is the one rounding. *)
+let pool2d_with run ~kind ~kernel ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) (x : Tensor.view)
+    ~c ~co =
   let d = Array.of_list x.Tensor.vdims in
   let od = pool_out_dims ~kernel ~stride ~pad d in
   let n = d.(0) and ch = d.(1) and h = d.(2) and w = d.(3) in
@@ -390,45 +412,15 @@ let pool2d_into ~kind ~kernel ?(stride = (1, 1)) ?(pad = (0, 0, 0, 0)) (x : Tens
     (n * ch * oh * ow);
   let kh, kw = kernel and sh, sw = stride in
   let pt, pl, _, _ = pad in
-  let src = Array.make (h * w) 0.0 and dst = Array.make (oh * ow) 0.0 in
-  for plane = 0 to (n * ch) - 1 do
-    Reduction.load_lane x.Tensor.vbuf (x.Tensor.voff + (plane * h * w)) 1 (h * w) src;
-    for oy = 0 to oh - 1 do
-      let y0 = (oy * sh) - pt in
-      let ky0 = max 0 (-y0) and ky1 = min kh (h - y0) in
-      for ox = 0 to ow - 1 do
-        let x0 = (ox * sw) - pl in
-        let kx0 = max 0 (-x0) and kx1 = min kw (w - x0) in
-        let v =
-          if ky1 <= ky0 || kx1 <= kx0 then 0.0
-          else
-            match kind with
-            | `Max ->
-              let acc = ref neg_infinity in
-              for ky = ky0 to ky1 - 1 do
-                let row = (y0 + ky) * w in
-                for kx = kx0 to kx1 - 1 do
-                  let v = Array.unsafe_get src (row + x0 + kx) in
-                  if v > !acc then acc := v
-                done
-              done;
-              !acc
-            | `Avg ->
-              let acc = ref 0.0 in
-              for ky = ky0 to ky1 - 1 do
-                let row = (y0 + ky) * w in
-                for kx = kx0 to kx1 - 1 do
-                  acc := !acc +. Array.unsafe_get src (row + x0 + kx)
-                done
-              done;
-              !acc /. float_of_int ((ky1 - ky0) * (kx1 - kx0))
-        in
-        Array.unsafe_set dst ((oy * ow) + ox) v
-      done
-    done;
-    Reduction.store_lane dst c (co + (plane * oh * ow)) 1 (oh * ow)
-  done;
+  if n * ch * oh * ow > 0 then
+    run x.Tensor.vbuf c
+      [|
+        (match kind with `Max -> 0 | `Avg -> 1);
+        x.Tensor.voff; co; n * ch; h; w; oh; ow; kh; kw; sh; sw; pt; pl;
+      |];
   od
+
+let pool2d_into = pool2d_with pool2d_c
 
 let pool2d ~kind ~kernel ?stride ?pad x =
   let v = Tensor.view_f x in
@@ -477,3 +469,7 @@ let global_avg_pool x =
   let out = Tensor.zeros (Tensor.dtype x) od in
   ignore (global_avg_pool_into (Tensor.view_f x) ~c:(Tensor.storage_f out) ~co:0);
   out
+
+module For_testing = struct
+  let pool2d_into_portable = pool2d_with pool2d_c_portable
+end

@@ -93,12 +93,15 @@ val pool2d_into :
   ?pad:int * int * int * int -> Tensor.view -> c:Tensor.fbuf -> co:int -> int list
 (** Destination-passing 2-d pooling over an [N×C×H×W] view: the
     [N×C×Oh×Ow] result goes into [c] at element offset [co] and its dims
-    are returned.  One pass per (image, channel) plane.  [`Max] keeps the
-    largest in-bounds value ([v > acc] from [-inf], so NaN taps are
-    skipped); [`Avg] sums the in-bounds taps in ascending order and divides
-    by their count.  A window with no in-bounds tap gives [0].  A rank
-    other than 4, a non-positive kernel or stride, or a window larger than
-    the padded input raise {!Sod2_error.Error} [Shape_mismatch]. *)
+    are returned.  One C loop over every (image, channel) plane, in
+    double, rounded once at the store.  [`Max] keeps the largest in-bounds
+    value ([v > acc] from [-inf], so the first of equal values wins and
+    NaN taps are skipped); [`Avg] sums the in-bounds taps in ascending
+    (ky, kx) order and divides by their count.  A window with no in-bounds
+    tap gives [0].  Output extents follow {!conv2d_out_dim}.  A rank other
+    than 4, a kernel or stride below 1, or a window wider than the padded
+    input by more than a stride raise {!Sod2_error.Error}
+    [Shape_mismatch]. *)
 
 val pool_out_dims :
   kernel:int * int -> stride:int * int -> pad:int * int * int * int -> int array ->
@@ -130,4 +133,15 @@ val global_avg_pool_into : Tensor.view -> c:Tensor.fbuf -> co:int -> int list
 val conv2d_out_dim : in_:int -> kernel:int -> stride:int -> pad_begin:int ->
   pad_end:int -> dilation:int -> int
 (** The ONNX output-extent formula shared by conv and pooling:
-    [floor ((in + pads - ((k-1)*d + 1)) / stride) + 1]. *)
+    [floor ((in + pads - ((k-1)*d + 1)) / stride) + 1], with floor
+    division as [Shape_fn] predicts it.  A kernel, stride or dilation
+    below 1, or a negative extent (a window wider than the padded input by
+    more than a stride), raise {!Sod2_error.Error} [Shape_mismatch]. *)
+
+(** The pooling loop of the portable (baseline instruction set) build, for
+    tests that hold it bit-identical to the dispatched one. *)
+module For_testing : sig
+  val pool2d_into_portable :
+    kind:[ `Max | `Avg ] -> kernel:int * int -> ?stride:int * int ->
+    ?pad:int * int * int * int -> Tensor.view -> c:Tensor.fbuf -> co:int -> int list
+end

@@ -166,13 +166,19 @@ let batch_norm t ~scale ~bias ~mean ~var ~eps =
   let normed = map2 (fun x v -> x /. sqrt (v +. eps)) normed (channel var) in
   map2 ( +. ) (map2 ( *. ) normed (channel scale)) (channel bias)
 
-(* 2-d pooling as a bounds-checked walk over every window tap. *)
-let pool2d ~kind ~kernel ~stride ~pad x =
+(* The extent of a window sweep: floor (span / stride) + 1, where span is
+   the padded input minus the dilated window. *)
+let out_dim span stride =
+  (if span >= 0 then span / stride else -((stride - 1 - span) / stride)) + 1
+
+(* 2-d pooling as a bounds-checked walk over every window tap, in double:
+   the output dims and values, unrounded. *)
+let pool2d_values ~kind ~kernel ~stride ~pad x =
   let dx = Tensor.dims_arr x in
   let n = dx.(0) and c = dx.(1) and h = dx.(2) and w = dx.(3) in
   let kh, kw = kernel and sh, sw = stride in
   let pt, pl, pb, pr = pad in
-  let oh = ((h + pt + pb - kh) / sh) + 1 and ow = ((w + pl + pr - kw) / sw) + 1 in
+  let oh = out_dim (h + pt + pb - kh) sh and ow = out_dim (w + pl + pr - kw) sw in
   let src = Tensor.data_f x in
   let dst = Array.make (n * c * oh * ow) 0.0 in
   for ni = 0 to n - 1 do
@@ -202,7 +208,11 @@ let pool2d ~kind ~kernel ~stride ~pad x =
       done
     done
   done;
-  Tensor.of_floats (Tensor.dtype x) [ n; c; oh; ow ] dst
+  [ n; c; oh; ow ], dst
+
+let pool2d ~kind ~kernel ~stride ~pad x =
+  let dims, values = pool2d_values ~kind ~kernel ~stride ~pad x in
+  Tensor.of_floats (Tensor.dtype x) dims values
 
 let global_avg_pool x =
   let d = Tensor.dims_arr x in
@@ -218,3 +228,66 @@ let global_avg_pool x =
         !acc /. float_of_int spatial)
   in
   Tensor.of_floats (Tensor.dtype x) (n :: c :: List.init (Array.length d - 2) (fun _ -> 1)) dst
+
+(* Convolution as an explicit im2col column matrix times the naive GEMM,
+   as [Blocked] computed it before its C tiles gathered the matrix
+   themselves.  Per (image, group) the column matrix (depth (ci, ky, kx),
+   column (oy, ox), padding taps 0, in the input's kind) is filled tap by
+   tap; the output starts at the bias (or 0) as [c]'s kind holds it,
+   [Linalg.naive_kernel] accumulates into a double copy of it, and
+   [epilogue] (flat index, value) runs before the one store into [c] at
+   [co].  Returns the output dims. *)
+let conv2d_im2col ?(epilogue = fun _ v -> v) ~stride ~pad ~dilation ~groups (vx : Tensor.view)
+    (vw : Tensor.view) (vbias : Tensor.view option) ~c ~co =
+  let dx = Array.of_list vx.Tensor.vdims and dw = Array.of_list vw.Tensor.vdims in
+  let n = dx.(0) and ch = dx.(1) and h = dx.(2) and wd = dx.(3) in
+  let m = dw.(0) and cg = dw.(1) and kh = dw.(2) and kw = dw.(3) in
+  let sh, sw = stride and dh, dw_ = dilation in
+  let pt, pl, pb, pr = pad in
+  let oh = out_dim (h + pt + pb - (((kh - 1) * dh) + 1)) sh in
+  let ow = out_dim (wd + pl + pr - (((kw - 1) * dw_) + 1)) sw in
+  let mg = m / groups and kdim = cg * kh * kw and ndim = oh * ow in
+  let total = n * m * ndim in
+  let pre = Tensor.fbuf_create Tensor.F64 (max 1 total) in
+  let as_stored v = if Tensor.fbuf_dtype c = Tensor.F32 then Tensor.round_f32 v else v in
+  for ni = 0 to n - 1 do
+    for mi = 0 to m - 1 do
+      let b =
+        match vbias with
+        | Some vb -> Tensor.fbuf_get vb.Tensor.vbuf (vb.Tensor.voff + mi)
+        | None -> 0.0
+      in
+      Tensor.fbuf_fill pre (((ni * m) + mi) * ndim) ndim (as_stored b)
+    done
+  done;
+  let col = Tensor.fbuf_create (Tensor.view_dtype vx) (max 1 (kdim * ndim)) in
+  for ni = 0 to n - 1 do
+    for g = 0 to groups - 1 do
+      Tensor.fbuf_fill col 0 (kdim * ndim) 0.0;
+      for ci = 0 to cg - 1 do
+        for ky = 0 to kh - 1 do
+          for kx = 0 to kw - 1 do
+            let p = (((ci * kh) + ky) * kw) + kx in
+            for oy = 0 to oh - 1 do
+              for ox = 0 to ow - 1 do
+                let iy = (oy * sh) - pt + (ky * dh) and ix = (ox * sw) - pl + (kx * dw_) in
+                if iy >= 0 && iy < h && ix >= 0 && ix < wd then
+                  Tensor.fbuf_set col
+                    ((p * ndim) + (oy * ow) + ox)
+                    (Tensor.fbuf_get vx.Tensor.vbuf
+                       (vx.Tensor.voff + (((((ni * ch) + (g * cg) + ci) * h) + iy) * wd) + ix))
+              done
+            done
+          done
+        done
+      done;
+      Linalg.naive_kernel ~m:mg ~n:ndim ~k:kdim ~a:vw.Tensor.vbuf
+        ~ao:(vw.Tensor.voff + (g * mg * kdim))
+        ~b:col ~bo:0 ~c:pre
+        ~co:(((ni * m) + (g * mg)) * ndim)
+    done
+  done;
+  for i = 0 to total - 1 do
+    Tensor.fbuf_set c (co + i) (epilogue i (Tensor.fbuf_get pre i))
+  done;
+  [ n; m; oh; ow ]

@@ -1,17 +1,21 @@
-(* The C tile kernels behind [Blocked.gemm] and the int8 GEMM, checked
-   through both the dispatched target clone (whatever the CPU runs) and
-   the portable build of the same source.
+(* The C kernels of gemm_stubs.c — the GEMM tiles, the implicit-im2col
+   convolutions, the pools and the int8 tiles — checked through both the
+   dispatched target clone (whatever the CPU runs) and the portable build
+   of the same source.
 
    Float: every element's [Int64.bits_of_float] must equal the naive
    reference [Linalg.naive_kernel] (DESIGN.md §14), over every {F32, F64}
    kind of A, B and C, ragged m/n (not multiples of the 4×16 micro-tile),
-   k = 1, operands at non-zero offsets inside sentinel-filled buffers
-   whose sentinels must survive, with and without a typed epilogue
-   program, whose result must equal the OCaml composition of the
-   element functions it replaces (each step kind on its own, random
+   k = 0 and 1, operands at non-zero offsets inside sentinel-filled
+   buffers whose sentinels must survive, with and without a typed
+   epilogue program, whose result must equal the OCaml composition of
+   the element functions it replaces (each step kind on its own, random
    programs, and grouped convolutions with per-channel programs).
+   Convolutions must equal the explicit OCaml im2col over the naive GEMM
+   ([Kernel_oracle.conv2d_im2col]) and pools the tap-by-tap oracle walk.
 
-   Int8: exact agreement with [Reference.gemm_i8_acc] followed by
+   Int8: exact agreement with [Reference.gemm_i8_acc] (and, for
+   convolutions, [Reference.conv2d_i8_acc]) followed by
    [Reference.requantize] (or the reference dequantization), with random
    zero points, per-tensor and per-row epilogues, and the depth cap. *)
 
@@ -182,7 +186,12 @@ let check_sentinels name c co len =
 let float_case (name, (gemm : float_kernel)) seed =
   let st = Random.State.make [| seed |] in
   let m = 1 + Random.State.int st 41 and n = 1 + Random.State.int st 70 in
-  let k = if Random.State.int st 4 = 0 then 1 else 1 + Random.State.int st 40 in
+  let k =
+    match Random.State.int st 8 with
+    | 0 -> 0
+    | 1 | 2 -> 1
+    | _ -> 1 + Random.State.int st 40
+  in
   let a, ao = gen_window st (gen_kind st) (m * k) in
   let b, bo = gen_window st (gen_kind st) (k * n) in
   let c, co = gen_window st (gen_kind st) (m * n) in
@@ -329,6 +338,160 @@ let prop_conv kern =
       (Printf.sprintf "grouped conv + per-channel program == naive + OCaml steps (%s)"
          (fst kern))
     ~count:60 QCheck2.Gen.int (conv_case kern)
+
+(* The implicit-im2col tiles against the explicit im2col + naive GEMM
+   oracle ([Kernel_oracle.conv2d_im2col]), bit for bit: random stride,
+   dilation, asymmetric pads and groups, 1×1 kernels, windows wider than
+   the padded input (an empty output, or Shape_mismatch where the extent
+   would be negative), zero-size batch, channels and planes, every kind
+   of input, weights, bias and output, operands at offsets inside
+   sentinel buffers, random tile extents, with and without a typed
+   program. *)
+let conv_oracle_case (name, (conv : conv_kernel)) seed =
+  let st = Random.State.make [| seed |] in
+  let some_zero hi = if Random.State.int st 12 = 0 then 0 else 1 + Random.State.int st hi in
+  let groups = 1 + Random.State.int st 3 in
+  let cg = some_zero 3 and n = some_zero 2 in
+  let mg = if Random.State.int st 8 = 0 then 30 + Random.State.int st 12 else some_zero 4 in
+  let h = Random.State.int st 12 and w = Random.State.int st 12 in
+  let kh, kw =
+    if Random.State.int st 4 = 0 then 1, 1 else 1 + Random.State.int st 5, 1 + Random.State.int st 5
+  in
+  let stride = 1 + Random.State.int st 3, 1 + Random.State.int st 3 in
+  let dil () = if Random.State.bool st then 1 else 1 + Random.State.int st 3 in
+  let dilation = dil (), dil () in
+  let p () = Random.State.int st 4 in
+  let pad = p (), p (), p (), p () in
+  let view dims =
+    let buf, off = gen_window st (gen_kind st) (List.fold_left ( * ) 1 dims) in
+    { Tensor.vbuf = buf; voff = off; vdims = dims }
+  in
+  let m = groups * mg in
+  let x = view [ n; groups * cg; h; w ] and wt = view [ m; cg; kh; kw ] in
+  let bias = if Random.State.bool st then Some (view [ m ]) else None in
+  let tiles =
+    Blocked.tiles_of ~tile_m:(32 * (1 + Random.State.int st 2))
+      ~tile_n:(16 * (1 + Random.State.int st 4)) ~tile_k:64 ~unroll:4
+  in
+  let (sh, sw), (dh, dw), (pt, pl, pb, pr) = stride, dilation, pad in
+  let oh = Kernel_oracle.out_dim (h + pt + pb - (((kh - 1) * dh) + 1)) sh in
+  let ow = Kernel_oracle.out_dim (w + pl + pr - (((kw - 1) * dw) + 1)) sw in
+  if oh < 0 || ow < 0 then begin
+    let c = Tensor.fbuf_create Tensor.F64 1 in
+    match conv ~tiles ~stride ~pad ~dilation ~groups x wt bias ~c ~co:0 with
+    | _ -> QCheck2.Test.fail_reportf "%s: negative extent %dx%d accepted" name oh ow
+    | exception Sod2_error.Error { Sod2_error.cls = Sod2_error.Shape_mismatch; _ } -> true
+  end
+  else begin
+    let total = n * m * oh * ow in
+    let epilogue =
+      if total = 0 || Random.State.bool st then []
+      else gen_epilogue st ~total ~row:(max 1 (oh * ow))
+    in
+    let c, co = gen_window st (gen_kind st) total in
+    let expect = copy_buf c in
+    let od =
+      Kernel_oracle.conv2d_im2col ~epilogue:(ocaml_epilogue epilogue) ~stride ~pad ~dilation
+        ~groups x wt bias ~c:expect ~co
+    in
+    let got = conv ~tiles ~epilogue ~ep_off:co ~stride ~pad ~dilation ~groups x wt bias ~c ~co in
+    if got <> od || not (same_bits c expect) then
+      QCheck2.Test.fail_reportf
+        "%s: n=%d groups=%d cg=%d mg=%d %dx%d k=%dx%d s=%dx%d d=%dx%d pads=%d,%d,%d,%d kinds \
+         x=%s w=%s c=%s steps=%d"
+        name n groups cg mg h w kh kw sh sw dh dw pt pl pb pr
+        (Tensor.dtype_name (Tensor.fbuf_dtype x.Tensor.vbuf))
+        (Tensor.dtype_name (Tensor.fbuf_dtype wt.Tensor.vbuf))
+        (Tensor.dtype_name (Tensor.fbuf_dtype c))
+        (List.length epilogue);
+    check_sentinels name c co total;
+    true
+  end
+
+let prop_conv_oracle kern =
+  QCheck2.Test.make
+    ~name:
+      (Printf.sprintf "implicit-im2col conv == OCaml im2col oracle, bit for bit (%s)"
+         (fst kern))
+    ~count:300 QCheck2.Gen.int (conv_oracle_case kern)
+
+type pool_kernel =
+  kind:[ `Max | `Avg ] -> kernel:int * int -> ?stride:int * int ->
+  ?pad:int * int * int * int -> Tensor.view -> c:Tensor.fbuf -> co:int -> int list
+
+let pool_kernels : (string * pool_kernel) list =
+  [ "dispatched", Linalg.pool2d_into; "portable", Linalg.For_testing.pool2d_into_portable ]
+
+(* The C pooling loop against the tap-by-tap oracle walk
+   ([Kernel_oracle.pool2d_values]), bit for bit: NaN, ±Inf and signed
+   zeros among the values, ties, pads up to the kernel (all-padding
+   windows), zero-size planes, every kind of input and output, the input
+   at an offset inside a sentinel buffer. *)
+let pool_case (name, (pool : pool_kernel)) seed =
+  let st = Random.State.make [| seed |] in
+  let dims =
+    Random.State.
+      [ int st 3; 1 + int st 3; int st 8; int st 8 ]
+  in
+  let len = List.fold_left ( * ) 1 dims in
+  let specials = [| nan; infinity; neg_infinity; 0.0; -0.0 |] in
+  (* Coarse values tie; the others span 30 binades, so a sum taken in
+     another order rounds differently. *)
+  let coarse = Random.State.int st 4 = 0 in
+  let values =
+    Array.init len (fun _ ->
+        if Random.State.int st 8 = 0 then specials.(Random.State.int st 5)
+        else
+          let v = Random.State.float st 4.0 -. 2.0 in
+          if coarse then Float.round v else Float.ldexp v (Random.State.int st 30 - 15))
+  in
+  let xdt = gen_kind st in
+  let x = Tensor.of_floats xdt dims values in
+  let off = Random.State.int st 5 in
+  let buf = Tensor.fbuf_create xdt (off + len + 3) in
+  Tensor.fbuf_fill buf 0 (off + len + 3) sentinel;
+  Tensor.fbuf_blit ~src:(Tensor.storage_f x) ~soff:0 ~dst:buf ~doff:off ~len;
+  let vx = { Tensor.vbuf = buf; voff = off; vdims = dims } in
+  let kernel = 1 + Random.State.int st 4, 1 + Random.State.int st 4 in
+  let stride = 1 + Random.State.int st 3, 1 + Random.State.int st 3 in
+  let pad =
+    let p k = Random.State.int st (k + 1) in
+    p (fst kernel), p (snd kernel), p (fst kernel), p (snd kernel)
+  in
+  let kind = if Random.State.bool st then `Max else `Avg in
+  let kh, kw = kernel and (sh, sw), (pt, pl, pb, pr) = stride, pad in
+  let h = List.nth dims 2 and w = List.nth dims 3 in
+  let oh = Kernel_oracle.out_dim (h + pt + pb - kh) sh in
+  let ow = Kernel_oracle.out_dim (w + pl + pr - kw) sw in
+  if oh < 0 || ow < 0 then begin
+    match pool ~kind ~kernel ~stride ~pad vx ~c:(Tensor.fbuf_create xdt 1) ~co:0 with
+    | _ -> QCheck2.Test.fail_reportf "%s: negative extent accepted" name
+    | exception Sod2_error.Error { Sod2_error.cls = Sod2_error.Shape_mismatch; _ } -> true
+  end
+  else begin
+    let od, expect = Kernel_oracle.pool2d_values ~kind ~kernel ~stride ~pad x in
+    let total = Array.length expect in
+    let c, co = gen_window st (gen_kind st) total in
+    let got = pool ~kind ~kernel ~stride ~pad vx ~c ~co in
+    if got <> od then QCheck2.Test.fail_reportf "%s: dims differ" name;
+    Array.iteri
+      (fun i v ->
+        let v = if Tensor.fbuf_dtype c = Tensor.F32 then Tensor.round_f32 v else v in
+        if not (same_value (Tensor.fbuf_get c (co + i)) v) then
+          QCheck2.Test.fail_reportf
+            "%s: %s dims=%s k=%dx%d s=%dx%d pads=%d,%d,%d,%d element %d: %h vs %h" name
+            (match kind with `Max -> "max" | `Avg -> "avg")
+            (String.concat "x" (List.map string_of_int dims))
+            kh kw sh sw pt pl pb pr i (Tensor.fbuf_get c (co + i)) v)
+      expect;
+    check_sentinels name c co total;
+    true
+  end
+
+let prop_pool kern =
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "C pool == oracle walk, NaN/Inf/padding, bit for bit (%s)" (fst kern))
+    ~count:300 QCheck2.Gen.int (pool_case kern)
 
 (* Operand windows are vetted before the C loop reads them unchecked. *)
 let test_epilogue_rejects () =
@@ -530,6 +693,80 @@ let test_i8_depth_rejected () =
   | () -> Alcotest.fail "depth beyond the cap accepted"
   | exception Invalid_argument _ -> ()
 
+type i8_conv_kernel =
+  ?par:Blocked.par -> ?tiles:Blocked.tiles -> zx:int -> zw:int ->
+  epilogue:Blocked.i8_epilogue -> stride:int * int -> pad:int * int * int * int ->
+  dilation:int * int -> groups:int -> x:Tensor.i8buf -> xoff:int -> xdims:int array ->
+  w:Tensor.i8buf -> woff:int -> wdims:int array -> c:Tensor.i8buf -> co:int -> unit ->
+  int list
+
+let i8_conv_kernels : (string * i8_conv_kernel) list =
+  [ "dispatched", Blocked.conv2d_i8_into; "portable", Blocked.For_testing.conv2d_i8_into_portable ]
+
+(* The int8 convolution gathers its panels with the float one's gather
+   (padding taps hold the input zero point): exact agreement with the
+   direct reference accumulators, then the requantization, over random
+   geometry, zero points and per-channel epilogues. *)
+let i8_conv_case (name, (conv : i8_conv_kernel)) seed =
+  let st = Random.State.make [| seed |] in
+  let groups = 1 + Random.State.int st 3 in
+  let cg = 1 + Random.State.int st 3 and mg = 1 + Random.State.int st 5 in
+  let h = 1 + Random.State.int st 10 and w = 1 + Random.State.int st 10 in
+  let kh = 1 + Random.State.int st (min 3 h) and kw = 1 + Random.State.int st (min 3 w) in
+  let stride = 1 + Random.State.int st 3, 1 + Random.State.int st 3 in
+  let dilation = 1 + Random.State.int st 2, 1 + Random.State.int st 2 in
+  let p () = Random.State.int st 3 in
+  let pad = p (), p (), p (), p () in
+  let (dh, dw), (pt, pl, pb, pr) = dilation, pad in
+  let kh = if ((kh - 1) * dh) + 1 > h + pt + pb then 1 else kh in
+  let kw = if ((kw - 1) * dw) + 1 > w + pl + pr then 1 else kw in
+  let zx = Random.State.int st 256 - 128 and zw = Random.State.int st 256 - 128 in
+  let xdims = [| 1 + Random.State.int st 2; groups * cg; h; w |] in
+  let wdims = [| groups * mg; cg; kh; kw |] in
+  let x, xoff, xv = gen_i8 st (Array.fold_left ( * ) 1 xdims) in
+  let wt, woff, wv = gen_i8 st (Array.fold_left ( * ) 1 wdims) in
+  let accs, od =
+    RT.Reference.conv2d_i8_acc ~zx ~zw ~stride ~pad ~dilation ~groups
+      (Tensor.of_ints Tensor.I8 (Array.to_list xdims) xv)
+      (Tensor.of_ints Tensor.I8 (Array.to_list wdims) wv)
+  in
+  let m = wdims.(0) in
+  let per_channel = Random.State.bool st in
+  let rqs = Array.init (if per_channel then m else 1) (fun _ -> gen_requant st) in
+  let total = Array.length accs in
+  let plane = total / max 1 (xdims.(0) * m) in
+  let co = Random.State.int st 5 in
+  let c = Bigarray.Array1.create Bigarray.int8_signed Bigarray.c_layout (co + total + 2) in
+  Bigarray.Array1.fill c i8_sentinel;
+  let tiles =
+    Blocked.tiles_of ~tile_m:32 ~tile_n:(4 * (1 + Random.State.int st 16)) ~tile_k:64 ~unroll:4
+  in
+  let got =
+    conv ~tiles ~zx ~zw ~epilogue:(Blocked.Requant rqs) ~stride ~pad ~dilation ~groups ~x ~xoff
+      ~xdims ~w:wt ~woff ~wdims ~c ~co ()
+  in
+  if got <> od then QCheck2.Test.fail_reportf "%s: dims differ" name;
+  for i = 0 to Bigarray.Array1.dim c - 1 do
+    let v = Bigarray.Array1.get c i in
+    if i < co || i >= co + total then begin
+      if v <> i8_sentinel then QCheck2.Test.fail_reportf "%s: sentinel %d overwritten" name i
+    end
+    else
+      let e = i - co in
+      let rq = rqs.(if per_channel then e / max 1 plane mod m else 0) in
+      let expect =
+        RT.Reference.requantize ~qm:rq.Quant.qm ~shift:rq.Quant.shift ~zp:rq.Quant.zp accs.(e)
+      in
+      if v <> expect then
+        QCheck2.Test.fail_reportf "%s: element %d: %d vs %d (zx=%d zw=%d)" name e v expect zx zw
+  done;
+  true
+
+let prop_i8_conv kern =
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "int8 conv == reference accumulators + requantize (%s)" (fst kern))
+    ~count:150 QCheck2.Gen.int (i8_conv_case kern)
+
 let test_isa_named () =
   Alcotest.(check bool) "known ISA name" true
     (List.mem (Blocked.isa ()) [ "x86-64-v4"; "x86-64-v3"; "portable" ])
@@ -537,7 +774,10 @@ let test_isa_named () =
 let suite =
   List.map (fun k -> QCheck_alcotest.to_alcotest (prop_float k)) float_kernels
   @ List.map (fun k -> QCheck_alcotest.to_alcotest (prop_conv k)) conv_kernels
+  @ List.map (fun k -> QCheck_alcotest.to_alcotest (prop_conv_oracle k)) conv_kernels
+  @ List.map (fun k -> QCheck_alcotest.to_alcotest (prop_pool k)) pool_kernels
   @ List.map (fun k -> QCheck_alcotest.to_alcotest (prop_i8 k)) i8_kernels
+  @ List.map (fun k -> QCheck_alcotest.to_alcotest (prop_i8_conv k)) i8_conv_kernels
   @ [
       Alcotest.test_case "each epilogue step == its OCaml function, both clones" `Quick
         test_each_step;

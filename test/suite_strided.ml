@@ -326,6 +326,115 @@ let test_pool_and_batch_norm_rank () =
   expect_error "batch norm parameter of the wrong length" Sod2_error.Shape_mismatch
     (fun () -> run1 (Op.BatchNorm { eps = 1e-5 }) [ x23; v2; v2; v2; v2 ])
 
+(* A stride, dilation or kernel extent below 1 is a structured shape
+   error on every path that computes a window extent, never a division by
+   zero or a made-up output. *)
+let test_window_attrs_below_1 () =
+  let x4 = Tensor.zeros Tensor.F32 [ 1; 1; 4; 4 ] and w4 = Tensor.zeros Tensor.F32 [ 1; 1; 3; 3 ] in
+  let conv ?(stride = 1, 1) ?(dilation = 1, 1) w =
+    Op.Conv { stride; pads = 0, 0, 0, 0; dilation; groups = 1 }, [ x4; w ]
+  in
+  let x3 = Tensor.zeros Tensor.F32 [ 1; 1; 6 ] and w3 = Tensor.zeros Tensor.F32 [ 1; 1; 2 ] in
+  let conv1d ?(stride1 = 1) ?(dilation1 = 1) w =
+    Op.Conv1d { stride1; pads1 = 0, 0; dilation1; groups1 = 1 }, [ x3; w ]
+  in
+  let pool mk kernel pool_stride = mk { Op.kernel; pool_stride; pool_pads = 0, 0, 0, 0 }, [ x4 ] in
+  let max_pool a = Op.MaxPool a and avg_pool a = Op.AveragePool a in
+  List.iter
+    (fun (name, (op, inputs)) ->
+      expect_error name Sod2_error.Shape_mismatch (fun () -> run1 op inputs);
+      match op, inputs with
+      | Op.Conv { stride; pads; dilation; groups }, [ x; w ] ->
+        expect_error (name ^ " (implicit im2col)") Sod2_error.Shape_mismatch (fun () ->
+            Blocked.conv2d_im2col ~stride ~pad:pads ~dilation ~groups x w None)
+      | _ -> ())
+    [
+      "conv stride 0", conv ~stride:(0, 1) w4;
+      "conv stride -1", conv ~stride:(1, -1) w4;
+      "conv dilation 0", conv ~dilation:(0, 1) w4;
+      "conv kernel of height 0", conv (Tensor.zeros Tensor.F32 [ 1; 1; 0; 3 ]);
+      "conv1d stride 0", conv1d ~stride1:0 w3;
+      "conv1d dilation 0", conv1d ~dilation1:0 w3;
+      "conv1d kernel of length 0", conv1d (Tensor.zeros Tensor.F32 [ 1; 1; 0 ]);
+      "max pool stride 0", pool max_pool (2, 2) (0, 1);
+      "max pool kernel 0", pool max_pool (2, 0) (1, 1);
+      "average pool stride 0", pool avg_pool (2, 2) (1, 0);
+      "average pool kernel 0", pool avg_pool (0, 2) (1, 1);
+    ]
+
+(* Conv, Conv1d and pool extents agree with the forward shape function
+   (floor division) over a grid of input extent, kernel, stride, pads and
+   dilation: where [Shape_fn] predicts an extent of 0 or more the kernels
+   produce exactly it, where it predicts a negative one they raise
+   Shape_mismatch.  Conv runs both the direct and the implicit-im2col
+   kernel. *)
+let test_extents_match_shape_fn () =
+  let predicted op shapes =
+    let io =
+      {
+        Shape_fn.in_shapes = Array.of_list (List.map Shape.of_ints shapes);
+        in_values = Array.of_list (List.map (fun _ -> Value_info.undef) shapes);
+      }
+    in
+    match Shape_fn.forward op io with
+    | [| s |], _ -> (
+      match Shape.dims s with
+      | Some ds -> Array.to_list (Array.map (fun d -> Option.get (Dim.as_const d)) ds)
+      | None -> Alcotest.fail "forward shape not ranked")
+    | _ -> Alcotest.fail "forward shape arity"
+  in
+  let agree name op shapes run =
+    let want = predicted op shapes in
+    match run () with
+    | got ->
+      if got <> want then
+        Alcotest.failf "%s: kernel dims [%s], Shape_fn [%s]" name
+          (String.concat ";" (List.map string_of_int got))
+          (String.concat ";" (List.map string_of_int want))
+    | exception Sod2_error.Error { Sod2_error.cls = Sod2_error.Shape_mismatch; _ }
+      when List.exists (fun d -> d < 0) want -> ()
+  in
+  for in_ = 0 to 6 do
+    for k = 1 to 5 do
+      for s = 1 to 3 do
+        for pb = 0 to 2 do
+          for pe = 0 to 2 do
+            for d = 1 to 3 do
+              let name = Printf.sprintf "in=%d k=%d s=%d pads=%d,%d d=%d" in_ k s pb pe d in
+              let x = Tensor.zeros Tensor.F32 [ 1; 1; in_; 2 ] in
+              let w = Tensor.zeros Tensor.F32 [ 1; 1; k; 1 ] in
+              let conv =
+                Op.Conv { stride = s, 1; pads = pb, 0, pe, 0; dilation = d, 1; groups = 1 }
+              in
+              let dims t = Tensor.dims t in
+              agree ("conv " ^ name) conv [ [ 1; 1; in_; 2 ]; [ 1; 1; k; 1 ] ] (fun () ->
+                  dims (run1 conv [ x; w ]));
+              agree ("implicit-im2col conv " ^ name) conv [ [ 1; 1; in_; 2 ]; [ 1; 1; k; 1 ] ]
+                (fun () ->
+                  dims
+                    (Blocked.conv2d_im2col ~stride:(s, 1) ~pad:(pb, 0, pe, 0) ~dilation:(d, 1)
+                       ~groups:1 x w None));
+              let conv1d = Op.Conv1d { stride1 = s; pads1 = pb, pe; dilation1 = d; groups1 = 1 } in
+              agree ("conv1d " ^ name) conv1d [ [ 1; 1; in_ ]; [ 1; 1; k ] ] (fun () ->
+                  dims
+                    (run1 conv1d
+                       [
+                         Tensor.zeros Tensor.F32 [ 1; 1; in_ ];
+                         Tensor.zeros Tensor.F32 [ 1; 1; k ];
+                       ]));
+              if d = 1 then
+                List.iter
+                  (fun op ->
+                    agree ("pool " ^ name) op [ [ 1; 1; in_; 2 ] ] (fun () -> dims (run1 op [ x ])))
+                  (let a = { Op.kernel = k, 1; pool_stride = s, 1; pool_pads = pb, 0, pe, 0 } in
+                   [ Op.MaxPool a; Op.AveragePool a ])
+            done
+          done
+        done
+      done
+    done
+  done
+
 (* A window that does not fit its buffer is refused before any store. *)
 let test_run_into_window_checked () =
   let c = Tensor.fbuf_create Tensor.F32 8 in
@@ -343,6 +452,10 @@ let suite =
     Alcotest.test_case "errors: run_into window checked" `Quick test_run_into_window_checked;
     Alcotest.test_case "errors: pool and batch-norm ranks" `Quick
       test_pool_and_batch_norm_rank;
+    Alcotest.test_case "errors: stride, dilation or kernel below 1" `Quick
+      test_window_attrs_below_1;
+    Alcotest.test_case "conv/pool extents = Shape_fn over a grid" `Quick
+      test_extents_match_shape_fn;
     Alcotest.test_case "batch norm run_into declines another slot kind" `Quick
       test_batch_norm_slot_kind;
   ]

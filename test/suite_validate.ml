@@ -187,11 +187,67 @@ let test_pool_and_batch_norm_ranks () =
   | Ok () -> ()
   | Error errs -> Alcotest.failf "rank-2 batch norm rejected:\n%s" (Validate.report errs)
 
+(* Conv and pool windows need a stride, dilation and kernel extent of at
+   least 1: the validator rejects the rest, built in memory or decoded
+   from a graph file, instead of leaving them to the kernels. *)
+let window_graph op ~kernel =
+  let b = Graph.Builder.create () in
+  let x = Graph.Builder.input b ~name:"x" (Shape.of_ints [ 1; 2; 8; 8 ]) in
+  let inputs =
+    match kernel with
+    | Some dims -> [ x; Graph.Builder.const b ~name:"w" (Tensor.zeros Tensor.F32 dims) ]
+    | None -> [ x ]
+  in
+  let y = Graph.Builder.node1 b op inputs in
+  Graph.Builder.set_outputs b [ y ];
+  Graph.Builder.finish_unchecked b
+
+let test_window_attributes () =
+  let conv ?(stride = 1, 1) ?(dilation = 1, 1) () =
+    Op.Conv { stride; pads = 0, 0, 0, 0; dilation; groups = 1 }
+  in
+  let conv1d ?(stride1 = 1) ?(dilation1 = 1) () =
+    Op.Conv1d { stride1; pads1 = 0, 0; dilation1; groups1 = 1 }
+  in
+  let pool mk kernel pool_stride = mk { Op.kernel; pool_stride; pool_pads = 0, 0, 0, 0 } in
+  let max_pool a = Op.MaxPool a and avg_pool a = Op.AveragePool a in
+  let w3 = Some [ 4; 2; 3; 3 ] in
+  List.iter
+    (fun (name, op, kernel) ->
+      check_fails name Sod2_error.Invalid_graph (window_graph op ~kernel))
+    [
+      "conv stride 0", conv ~stride:(0, 1) (), w3;
+      "conv dilation 0", conv ~dilation:(1, 0) (), w3;
+      "conv constant weight of width 0", conv (), Some [ 4; 2; 3; 0 ];
+      "conv1d stride 0", conv1d ~stride1:0 (), None;
+      "conv1d dilation -1", conv1d ~dilation1:(-1) (), None;
+      "max pool stride 0", pool max_pool (2, 2) (1, 0), None;
+      "max pool kernel 0", pool max_pool (0, 2) (1, 1), None;
+      "average pool stride 0", pool avg_pool (3, 3) (0, 0), None;
+      "average pool kernel 0", pool avg_pool (3, 0) (1, 1), None;
+    ];
+  (match Validate.check (window_graph (conv ~stride:(2, 2) ~dilation:(2, 1) ()) ~kernel:w3) with
+  | Ok () -> ()
+  | Error errs -> Alcotest.failf "valid conv rejected:\n%s" (Validate.report errs));
+  (* The same defect read back from a graph file ends in Error. *)
+  let text = Graph_io.to_string (window_graph (conv ~stride:(0, 1) ()) ~kernel:w3) in
+  match Graph_io.of_string text with
+  | Ok _ -> Alcotest.fail "decoded graph with stride 0 accepted"
+  | Error msg ->
+    let has sub =
+      let n = String.length sub in
+      let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+      go 0
+    in
+    if not (has "stride 0 is below 1") then Alcotest.failf "unexpected decode error: %s" msg
+
 let suite =
   [
     Alcotest.test_case "axis attributes vs inferred rank" `Quick test_axis_attributes;
     Alcotest.test_case "pool and batch-norm ranks vs inferred rank" `Quick
       test_pool_and_batch_norm_ranks;
+    Alcotest.test_case "conv/pool stride, dilation and kernel below 1" `Quick
+      test_window_attributes;
     Alcotest.test_case "zoo models validate" `Quick test_zoo_models_valid;
     Alcotest.test_case "dangling output" `Quick test_dangling_output;
     Alcotest.test_case "arity mismatch" `Quick test_arity_mismatch;
